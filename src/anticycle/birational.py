@@ -59,14 +59,6 @@ class SurgeryResult:
     inserted: tuple[int, ...] = ()
 
 
-def _transport_source(config: CycleConfig) -> tuple[int, ...] | None:
-    """The coefficient list m0*P when P != 0 and P^2 = 0, else None."""
-    z = zariski_decompose(config)
-    if z.l is not None and z.d == 0:
-        return z.l
-    return None
-
-
 def blow_up_node(
     config: CycleConfig, node: int, *, drop_reality: bool = False
 ) -> SurgeryResult:
@@ -80,7 +72,9 @@ def blow_up_node(
     m = config.m
     if not 0 <= node < m:
         raise SurgeryInputError(f"node index {node} out of range for m={m}")
-    source_l = _transport_source(config)
+    z = zariski_decompose(config)
+    # the coefficient list m0*P to transport, when P != 0 and P^2 = 0
+    source_l = z.l if z.d == 0 else None
 
     if config.is_real and not drop_reality:
         k = config.real_k
@@ -208,21 +202,20 @@ def contract_to_nef_model(
     steps when a nef model is reached, and ``None`` when the nef part
     vanishes (no model exists) or the supply of (-1)-components runs out.
     """
-    if zariski_decompose(config).p.is_zero:
+    z = zariski_decompose(config)
+    if z.p.is_zero:
         return None
     steps: list[SurgeryStep] = []
-    current = config
-    while True:
-        if zariski_decompose(current).n_part.is_zero:
-            return current, tuple(steps)
+    while not z.n_part.is_zero:
         target = next(
-            (i for i, s in enumerate(current.self_ints) if s == -1), None
+            (i for i, s in enumerate(z.config.self_ints) if s == -1), None
         )
         if target is None:
             return None
         try:
-            result = blow_down(current, target)
+            result = blow_down(z.config, target)
         except SurgeryInputError:
             return None
         steps.extend(result.steps)
-        current = result.config
+        z = zariski_decompose(result.config)
+    return z.config, tuple(steps)

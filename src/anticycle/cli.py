@@ -3,13 +3,15 @@
 Single-shot subcommands over config files; every report is printed to
 standard output either as flattened ``key: value`` lines or, with
 ``--json``, as a JSON document carrying the same values.  Exit codes:
-0 success, 2 parse/validation problems, 3 an inconsistent verdict (two
-sound derivations collide, so the configuration is unrealizable).
+0 success, 1 the algorithm and the oracle disagree (``oracle-check``),
+2 parse/validation problems, 3 an inconsistent verdict (two sound
+derivations collide, so the configuration is unrealizable).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -22,7 +24,7 @@ from .cycles import (
     OracleError,
     QDivisor,
     ZariskiDecomposition,
-    classify_kodaira,
+    classify_decomposition,
     validate,
     zariski_decompose,
     zariski_oracle,
@@ -41,16 +43,17 @@ from .twistor import (
     TwistorPencil,
     VERDICT_INCONSISTENT,
     algebraic_dimension,
-    build_resolved_model,
+    base_decomposition,
+    fixed_system_dim,
     m_class_intersections,
-    normalize_rotation,
-    pluri_system_dim,
+    normalized_model,
     prove_E_fixed,
     reducible_fibers,
     validate_pencil,
 )
 
 EXIT_OK = 0
+EXIT_DISAGREEMENT = 1
 EXIT_INVALID = 2
 EXIT_INCONSISTENT = 3
 
@@ -152,29 +155,32 @@ def _load_data(path: str) -> config_io.ConfigData:
         raise _CommandError(f"parse error: {exc}") from None
 
 
-def _load_cycle(path: str) -> CycleConfig:
-    data = _load_data(path)
+def _built(data: config_io.ConfigData, build, check):
+    """``build(data)``, validated by ``check``; each problem is an ``invalid:`` line."""
     try:
-        config = config_io.build_cycle(data)
+        built = build(data)
     except config_io.ConfigError as exc:
         raise _CommandError(f"invalid: {exc}") from None
-    _check(validate(config))
-    return config
+    issues = check(built)
+    if issues:
+        raise _CommandError("\n".join(f"invalid: {issue}" for issue in issues))
+    return built
+
+
+def _load_cycle(path: str) -> CycleConfig:
+    return _built(_load_data(path), config_io.build_cycle, validate)
+
+
+def _load_decomposition(path: str) -> tuple[ZariskiDecomposition, str]:
+    """The decomposition of the file's cycle and its anti-Kodaira class."""
+    data = _load_data(path)
+    z = zariski_decompose(_built(data, config_io.build_cycle, validate))
+    return z, classify_decomposition(z, _order_info(data))
 
 
 def _load_pencil(path: str, *, default_family: bool = False) -> TwistorPencil:
-    data = _load_data(path)
-    try:
-        pencil = config_io.build_pencil(data, default_family=default_family)
-    except config_io.ConfigError as exc:
-        raise _CommandError(f"invalid: {exc}") from None
-    _check(validate_pencil(pencil))
-    return pencil
-
-
-def _check(issues: Sequence[str]) -> None:
-    if issues:
-        raise _CommandError("\n".join(f"invalid: {issue}" for issue in issues))
+    build = functools.partial(config_io.build_pencil, default_family=default_family)
+    return _built(_load_data(path), build, validate_pencil)
 
 
 def _order_info(data: config_io.ConfigData) -> int | str | None:
@@ -201,32 +207,14 @@ def _component_index(config: CycleConfig, one_based: int, what: str) -> int:
 
 
 def _cmd_zariski(args: argparse.Namespace) -> int:
-    data = _load_data(args.file)
-    try:
-        config = config_io.build_cycle(data)
-    except config_io.ConfigError as exc:
-        raise _CommandError(f"invalid: {exc}") from None
-    _check(validate(config))
-    z = zariski_decompose(config)
-    report = _decomposition_fields(z)
-    report["kodaira"] = classify_kodaira(config, _order_info(data))
-    _emit(report, args.json)
+    z, kodaira = _load_decomposition(args.file)
+    _emit({**_decomposition_fields(z), "kodaira": kodaira}, args.json)
     return EXIT_OK
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
-    data = _load_data(args.file)
-    try:
-        config = config_io.build_cycle(data)
-    except config_io.ConfigError as exc:
-        raise _CommandError(f"invalid: {exc}") from None
-    _check(validate(config))
-    z = zariski_decompose(config)
-    report = {
-        "kodaira": classify_kodaira(config, _order_info(data)),
-        "d": str(z.d),
-    }
-    _emit(report, args.json)
+    z, kodaira = _load_decomposition(args.file)
+    _emit({"kodaira": kodaira, "d": str(z.d)}, args.json)
     return EXIT_OK
 
 
@@ -309,8 +297,7 @@ def _cmd_fibers(args: argparse.Namespace) -> int:
 
 def _normalized_model(pencil: TwistorPencil):
     try:
-        normalized = normalize_rotation(pencil)
-        return build_resolved_model(normalized)
+        return normalized_model(pencil, base_decomposition(pencil))
     except (ValueError, InvariantViolation) as exc:
         raise _CommandError(f"invalid: {exc}") from None
 
@@ -349,7 +336,7 @@ def _cmd_fixed(args: argparse.Namespace) -> int:
     model = _normalized_model(pencil)
     derivation = prove_E_fixed(model, args.r, rho)
     if args.nu is not None and derivation.holds and args.r >= 0:
-        report["pluri_dim"] = pluri_system_dim(pencil, args.r, args.nu)
+        report["pluri_dim"] = fixed_system_dim(model, args.r, rho)
     report["derivations"] = [_derivation_fields(derivation)]
     _emit(report, args.json)
     return EXIT_OK
@@ -372,6 +359,8 @@ def _cmd_adim(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle_check(args: argparse.Namespace) -> int:
+    if args.count < 1:
+        raise _CommandError(f"invalid: --count must be at least 1, got {args.count}")
     configs: list[CycleConfig]
     if args.file is not None:
         configs = [_load_cycle(args.file)]
@@ -380,7 +369,6 @@ def _cmd_oracle_check(args: argparse.Namespace) -> int:
         configs = [config_io.random_small_config(rng) for _ in range(args.count)]
     else:
         raise _CommandError("invalid: give --file or --seed")
-    agreements = 0
     for config in configs:
         try:
             fast = zariski_decompose(config)
@@ -389,13 +377,14 @@ def _cmd_oracle_check(args: argparse.Namespace) -> int:
             raise _CommandError(f"invalid: {exc}") from None
         if fast.p != slow.p or fast.n_part != slow.n_part:
             print(f"disagreement on selfints = {list(config.self_ints)}")
-            return 1
-        agreements += 1
-    _emit({"checked": len(configs), "agreements": agreements}, args.json)
+            return EXIT_DISAGREEMENT
+    _emit({"checked": len(configs), "agreements": len(configs)}, args.json)
     return EXIT_OK
 
 
 def _cmd_fixtures(args: argparse.Namespace) -> int:
+    if args.count < 1:
+        raise _CommandError(f"invalid: --count must be at least 1, got {args.count}")
     batch = config_io.generate_fixtures(args.seed, args.count)
     for index, data in enumerate(batch, start=1):
         print(f"# fixture {index} of {args.count}, seed {args.seed}")
@@ -430,15 +419,13 @@ def build_parser() -> argparse.ArgumentParser:
     blowup.add_argument("--node", type=int, help="1-based node C_i * C_{i+1}")
     blowup.add_argument("--component", type=int, help="1-based component index")
     blowup.add_argument("--smooth", action="store_true", help="smooth-point blow-up")
-    blowup.add_argument(
-        "--drop-reality", action="store_true", help="single surgery, forget reality"
-    )
 
     blowdown = add("blowdown", _cmd_blowdown, "contract a (-1)-component")
     blowdown.add_argument("--component", type=int, required=True)
-    blowdown.add_argument(
-        "--drop-reality", action="store_true", help="single surgery, forget reality"
-    )
+    for surgery in (blowup, blowdown):
+        surgery.add_argument(
+            "--drop-reality", action="store_true", help="single surgery, forget reality"
+        )
 
     add("contract", _cmd_contract, "contract (-1)-components to a nef model")
     add("fibers", _cmd_fibers, "reducible members of the pencil")

@@ -172,12 +172,6 @@ def validate(config: CycleConfig) -> list[str]:
         csq = _cycle_square(config)
         if csq != 8 - 2 * config.n:
             issues.append(f"C^2 = {csq} but 8 - 2n = {8 - 2 * config.n}")
-    if m >= 2:
-        matrix = intersection_matrix(config)
-        row_sums = [sum(row) for row in matrix.rows]
-        for i in range(m):
-            if row_sums[i] != config.self_ints[i] + 2:
-                issues.append(f"adjunction fails on component {i + 1}")
     return issues
 
 
@@ -236,10 +230,12 @@ def _solve_on_support(
 
 
 def _finish(
-    config: CycleConfig, divisor: QDivisor, n_coeffs: Sequence[Fraction]
+    config: CycleConfig,
+    matrix: SymMatrix,
+    divisor: QDivisor,
+    n_coeffs: Sequence[Fraction],
 ) -> ZariskiDecomposition:
     """Certify the candidate decomposition and package its invariants."""
-    matrix = intersection_matrix(config)
     n_part = QDivisor(tuple(n_coeffs))
     p = divisor - n_part
     if not n_part.is_effective:
@@ -293,7 +289,7 @@ def zariski_decompose(config: CycleConfig, divisor=None) -> ZariskiDecomposition
         if growth is None:
             break
         support.append(growth)
-    return _finish(config, divisor, n_coeffs)
+    return _finish(config, matrix, divisor, n_coeffs)
 
 
 def zariski_oracle(config: CycleConfig, divisor=None) -> ZariskiDecomposition:
@@ -315,7 +311,7 @@ def zariski_oracle(config: CycleConfig, divisor=None) -> ZariskiDecomposition:
             if n_coeffs is None:
                 continue
             try:
-                candidate = _finish(config, divisor, n_coeffs)
+                candidate = _finish(config, matrix, divisor, n_coeffs)
             except CertificationError:
                 continue
             survivors.setdefault(candidate.n_part.coeffs, candidate)
@@ -348,13 +344,19 @@ def classify_kodaira(
     string ``"infinite"`` for infinite order (dimension zero), or ``None``
     when the order is unknown (classification deferred).
     """
+    return classify_decomposition(zariski_decompose(config), order_info)
+
+
+def classify_decomposition(
+    z: ZariskiDecomposition, order_info: int | str | None = None
+) -> str:
+    """:func:`classify_kodaira` read off an already computed decomposition."""
     if order_info is not None:
         if isinstance(order_info, str):
             if order_info != ORDER_INFINITE:
                 raise ValueError(f"unknown order marker {order_info!r}")
         elif order_info < 1:
             raise ValueError("finite order must be a positive integer")
-    z = zariski_decompose(config)
     if z.p.is_zero:
         return KODAIRA_ZERO
     if z.d > 0:

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 from .cycles import (
     CycleConfig,
+    QDivisor,
     ZariskiDecomposition,
     validate,
     zariski_decompose,
@@ -35,8 +36,6 @@ VERDICT_A1 = "a1"
 VERDICT_A2 = "a2"
 VERDICT_A3 = "a3"
 VERDICT_INCONSISTENT = "inconsistent"
-
-_KODAIRA_VALUE = {"zero": 0, "one": 1, "two": 2}
 
 
 class InvariantViolation(Exception):
@@ -132,8 +131,8 @@ class AdimReport:
     verdict: str
     generic_kodaira: str
     justification: tuple[str, ...]
-    decomposition: ZariskiDecomposition | None
-    derivations: tuple[Derivation, ...]
+    decomposition: ZariskiDecomposition | None = None
+    derivations: tuple[Derivation, ...] = ()
 
 
 def _component_name(index: int, k: int) -> str:
@@ -192,6 +191,20 @@ def validate_pencil(pencil: TwistorPencil) -> list[str]:
     return issues
 
 
+def _raise_if_invalid(pencil: TwistorPencil) -> None:
+    issues = validate_pencil(pencil)
+    if issues:
+        raise ValueError("; ".join(issues))
+
+
+def base_decomposition(pencil: TwistorPencil) -> ZariskiDecomposition:
+    """Zariski decomposition of the pencil's base cycle."""
+    config = pencil.cycle
+    if config is None:
+        raise ValueError("operation requires a cycle base")
+    return zariski_decompose(config)
+
+
 def reducible_fibers(pencil: TwistorPencil) -> tuple[FiberDescriptor, ...]:
     """Descriptors of the k reducible members; empty for an elliptic base.
 
@@ -245,11 +258,18 @@ def normalize_rotation(pencil: TwistorPencil) -> TwistorPencil:
     strict descent at the front.  The rotation respects reality (both
     halves rotate together) and permutes the resolution bits accordingly.
     """
-    config = _required_cycle(pencil)
+    return _normalize(pencil, base_decomposition(pencil))[0]
+
+
+def _normalize(
+    pencil: TwistorPencil, z: ZariskiDecomposition
+) -> tuple[TwistorPencil, ZariskiDecomposition]:
+    """:func:`normalize_rotation` given the base's decomposition z; also returns
+    the rotated base's decomposition, which by uniqueness is z rotated alike."""
+    config = z.config
     k = config.real_k
     if k is None:
         raise InvariantViolation("normalization requires a real cycle base")
-    z = zariski_decompose(config)
     if z.l is None or z.d != 0:
         raise InvariantViolation("normalization requires P != 0 with P^2 = 0")
     l = z.l
@@ -260,20 +280,23 @@ def normalize_rotation(pencil: TwistorPencil) -> TwistorPencil:
             "arrange l1 > l2"
         )
     if shift == 0:
-        return pencil
-    half = tuple(config.self_ints[(shift + t) % config.m] for t in range(k))
-    rotated = CycleConfig(half + half, real_k=k, n=config.n)
+        return pencil, z
+    rotated = CycleConfig(_rotated(config.self_ints, shift), real_k=k, n=config.n)
     resolution = pencil.resolution
     if resolution is not None:
-        resolution = tuple(resolution[(shift + t) % k] for t in range(k))
-    return TwistorPencil(pencil.n, rotated, pencil.family, resolution)
+        resolution = _rotated(resolution, shift)
+    divisor, p, n_part = (
+        QDivisor(_rotated(q.coeffs, shift)) for q in (z.divisor, z.p, z.n_part)
+    )
+    rotated_z = ZariskiDecomposition(
+        rotated, divisor, p, n_part, z.m0, _rotated(l, shift), z.d
+    )
+    return TwistorPencil(pencil.n, rotated, pencil.family, resolution), rotated_z
 
 
-def _required_cycle(pencil: TwistorPencil) -> CycleConfig:
-    config = pencil.cycle
-    if config is None:
-        raise ValueError("operation requires a cycle base")
-    return config
+def _rotated(values: tuple, shift: int) -> tuple:
+    """``values`` read cyclically from position ``shift``."""
+    return tuple(values[(shift + t) % len(values)] for t in range(len(values)))
 
 
 def build_resolved_model(pencil: TwistorPencil) -> ResolvedModel:
@@ -285,14 +308,21 @@ def build_resolved_model(pencil: TwistorPencil) -> ResolvedModel:
     decides whether the exceptional curve joins the fiber of E_2 (bit 0)
     or of E_1 (bit 1), mirrored on the conjugate side.
     """
-    config = _required_cycle(pencil)
-    issues = validate_pencil(pencil)
-    if issues:
-        raise ValueError("; ".join(issues))
+    _raise_if_invalid(pencil)
+    return _resolved_model(pencil, base_decomposition(pencil))
+
+
+def normalized_model(pencil: TwistorPencil, z: ZariskiDecomposition) -> ResolvedModel:
+    """The resolved model of a validated pencil, normalized; its base decomposes as z."""
+    return _resolved_model(*_normalize(pencil, z))
+
+
+def _resolved_model(pencil: TwistorPencil, z: ZariskiDecomposition) -> ResolvedModel:
+    """:func:`build_resolved_model` of a validated pencil whose base decomposes as z."""
+    config = z.config
     k = config.real_k
     if k is None or k < 2:
         raise ValueError("resolved model requires a real base with k >= 2")
-    z = zariski_decompose(config)
     if z.l is None or z.m0 is None or z.d != 0:
         raise ValueError("resolved model requires P != 0 with P^2 = 0")
     if z.l[:k] != z.l[k:]:
@@ -449,10 +479,14 @@ def pluri_system_dim(pencil: TwistorPencil, r: int, nu: int) -> int:
     if profile.kind != CONSTANT_FINITE:
         raise ValueError("pluri-system dimensions require a constant finite-order family")
     assert profile.tau is not None
-    normalized = normalize_rotation(pencil)
-    model = build_resolved_model(normalized)
-    derivation = prove_E_fixed(model, r, nu * profile.tau)
-    if not derivation.holds:
+    _raise_if_invalid(pencil)
+    model = normalized_model(pencil, base_decomposition(pencil))
+    return fixed_system_dim(model, r, nu * profile.tau)
+
+
+def fixed_system_dim(model: ResolvedModel, r: int, rho: int) -> int:
+    """Dimension r of |M(r, rho)| once its vertical divisor is proven fixed."""
+    if not prove_E_fixed(model, r, rho).holds:
         raise InvariantViolation("fixed-component derivation unexpectedly failed")
     return r
 
@@ -468,13 +502,10 @@ def algebraic_dimension(pencil: TwistorPencil) -> AdimReport:
     contradictory derivations: the verdict is "inconsistent" (no such
     pencil exists).
     """
-    issues = validate_pencil(pencil)
-    if issues:
-        raise ValueError("; ".join(issues))
+    _raise_if_invalid(pencil)
     if isinstance(pencil.base, EllipticBase):
         return _elliptic_verdict(pencil)
-    config = _required_cycle(pencil)
-    z = zariski_decompose(config)
+    z = base_decomposition(pencil)
     if z.p.is_zero:
         return AdimReport(
             verdict=VERDICT_A1,
@@ -486,7 +517,6 @@ def algebraic_dimension(pencil: TwistorPencil) -> AdimReport:
                 "only the pencil map survives: algebraic dimension 1",
             ),
             decomposition=z,
-            derivations=(),
         )
     if z.d > 0:
         return AdimReport(
@@ -499,9 +529,8 @@ def algebraic_dimension(pencil: TwistorPencil) -> AdimReport:
                 "dimension 3",
             ),
             decomposition=z,
-            derivations=(),
         )
-    k = config.real_k or 0
+    k = z.config.real_k or 0
     if pencil.n > 4 and k < 2:
         raise InvariantViolation(
             "n > 4 with a non-vanishing square-zero nef part forces k >= 2"
@@ -520,7 +549,6 @@ def algebraic_dimension(pencil: TwistorPencil) -> AdimReport:
                 "reduction of dimension 2",
             ),
             decomposition=z,
-            derivations=(),
         )
     if profile.kind == CONSTANT_FINITE:
         assert profile.tau is not None
@@ -552,7 +580,6 @@ def algebraic_dimension(pencil: TwistorPencil) -> AdimReport:
             "algebraic dimension 1",
         ),
         decomposition=z,
-        derivations=(),
     )
 
 
@@ -569,8 +596,6 @@ def _elliptic_verdict(pencil: TwistorPencil) -> AdimReport:
                 "every pluri-anti-canonical system is a single point: "
                 "algebraic dimension 1",
             ),
-            decomposition=None,
-            derivations=(),
         )
     tau = order(base.normal_bundle)
     if tau is not None:
@@ -583,8 +608,6 @@ def _elliptic_verdict(pencil: TwistorPencil) -> AdimReport:
                 "members fiber elliptically and the algebraic reduction is "
                 "a surface: algebraic dimension 2",
             ),
-            decomposition=None,
-            derivations=(),
         )
     return AdimReport(
         verdict=VERDICT_A1,
@@ -594,8 +617,6 @@ def _elliptic_verdict(pencil: TwistorPencil) -> AdimReport:
             "generic pluri-anti-canonical systems are zero-dimensional: "
             "algebraic dimension 1",
         ),
-        decomposition=None,
-        derivations=(),
     )
 
 
@@ -635,18 +656,14 @@ def _fibration_derivation(z: ZariskiDecomposition, tau: int) -> Derivation:
 def _fixed_component_derivation(
     pencil: TwistorPencil, z: ZariskiDecomposition, tau: int
 ) -> Derivation:
-    assert z.m0 is not None and z.l is not None
-    normalized = normalize_rotation(pencil)
-    nz = zariski_decompose(_required_cycle(normalized))
-    assert nz.l is not None
-    model = build_resolved_model(normalized)
+    model = normalized_model(pencil, z)
     fixed = prove_E_fixed(model, 1, tau)
     normalize_step = DerivationStep(
         step="normalize",
         hypothesis="K^2 < 0 forces a non-constant coefficient list, so a "
         "rotation arranges l1 > l2",
-        evidence=f"l = {list(nz.l)} after rotation",
-        holds=nz.l[0] > nz.l[1],
+        evidence=f"l = {list(model.l)} after rotation",
+        holds=model.l[0] > model.l[1],
     )
     dimension_step = DerivationStep(
         step="dimension",

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from anticycle import cli
+from anticycle import birational, cli, cycles, twistor
 from anticycle.config_io import (
     ConfigData,
     ConfigError,
@@ -17,10 +18,10 @@ from anticycle.config_io import (
     parse_config,
     render_config,
 )
-from anticycle.cycles import validate, zariski_decompose, zariski_oracle
+from anticycle.cycles import QDivisor, validate, zariski_decompose, zariski_oracle
 from anticycle.pic0 import PicZeroElement, PicZeroFamily
 
-from conftest import fixture_path
+from conftest import FIXTURE_DIR, fixture_path
 
 F = Fraction
 
@@ -346,8 +347,31 @@ class TestOracleCheck:
         code, out = run_cli(capsys, "oracle-check")
         assert code == 2
 
+    def test_rejects_count_below_one(self, capsys):
+        code, out = run_cli(capsys, "oracle-check", "--seed", "1", "--count", "-3")
+        assert code == 2
+        assert out.startswith("invalid: ")
+        assert "checked" not in out
+
+    def test_disagreement_exits_one(self, capsys, monkeypatch):
+        def wrong_oracle(config):
+            z = zariski_decompose(config)
+            return dataclasses.replace(z, p=QDivisor.of([0] * config.m))
+
+        monkeypatch.setattr(cli, "zariski_oracle", wrong_oracle)
+        code, out = run_cli(
+            capsys, "oracle-check", "--file", fixture_path("fixtureC.cfg")
+        )
+        assert code == 1 == cli.EXIT_DISAGREEMENT
+        assert out == "disagreement on selfints = [-1, -4, -1, -4]\n"
+
 
 class TestFixtures:
+    def test_rejects_count_below_one(self, capsys):
+        code, out = run_cli(capsys, "fixtures", "--seed", "1", "--count", "-3")
+        assert code == 2
+        assert out.startswith("invalid: ")
+
     def test_deterministic(self, capsys):
         code, first = run_cli(capsys, "fixtures", "--seed", "1", "--count", "5")
         assert code == 0
@@ -382,3 +406,76 @@ class TestFixtures:
         for block in blocks:
             data = parse_config(block)
             assert validate(build_cycle(data)) == []
+
+
+@pytest.fixture
+def decompositions(monkeypatch) -> list:
+    """Every ``zariski_decompose`` call, recorded at each import site."""
+    calls = []
+    real = cycles.zariski_decompose
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for module in (cycles, birational, twistor, cli):
+        monkeypatch.setattr(module, "zariski_decompose", counting)
+    return calls
+
+
+def _fixture_files():
+    return sorted(FIXTURE_DIR.glob("*.cfg"))
+
+
+class TestDecompositionsPerCommand:
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ("zariski",),
+            ("classify",),
+            ("blowup", "--node", "1"),
+            ("intnums", "--rho", "1"),
+            ("fixed", "--rho", "1"),
+            ("fixed", "--nu", "1"),
+            ("adim",),
+        ],
+    )
+    def test_one_decomposition(self, command, decompositions, capsys):
+        counted = 0
+        for path in _fixture_files():
+            decompositions.clear()
+            code = cli.run([*command, "--file", str(path)])
+            capsys.readouterr()
+            elliptic = parse_config(path.read_text(encoding="utf-8")).base == "elliptic"
+            if code == cli.EXIT_INVALID or elliptic:
+                continue
+            assert len(decompositions) == 1, path.name
+            counted += 1
+        assert counted >= 1
+
+    def test_contract_once_per_configuration(self, decompositions, monkeypatch, capsys):
+        blow_downs = []
+        real = birational.blow_down
+
+        def counting(*args, **kwargs):
+            blow_downs.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(birational, "blow_down", counting)
+        counted = 0
+        for path in _fixture_files():
+            decompositions.clear()
+            blow_downs.clear()
+            code = cli.run(["contract", "--file", str(path)])
+            capsys.readouterr()
+            if code == cli.EXIT_INVALID:
+                continue
+            assert len(decompositions) == 1 + len(blow_downs), path.name
+            counted += len(blow_downs)
+        assert counted >= 1
+
+    def test_fibers_never_decompose(self, decompositions, capsys):
+        for path in _fixture_files():
+            cli.run(["fibers", "--file", str(path)])
+            capsys.readouterr()
+        assert decompositions == []

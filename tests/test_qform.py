@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from anticycle.qform import (
@@ -22,7 +22,13 @@ from anticycle.qform import (
 
 
 def _grid_kind(m: SymMatrix, radius: int = 2) -> str:
-    """Brute-force xT M x over all small nonzero integer vectors."""
+    """Brute-force xT M x over all small nonzero integer vectors.
+
+    One-sided: a positive (or null) value on the grid proves the matrix is
+    not negative semidefinite (or not negative definite), but a direction
+    that needs entries beyond ``radius`` goes unseen, e.g. the positive
+    direction (1, 3) of [[-4, 1], [1, 0]].
+    """
     strict = True
     weak = True
     values = range(-radius, radius + 1)
@@ -38,6 +44,42 @@ def _grid_kind(m: SymMatrix, radius: int = 2) -> str:
     if strict:
         return NEGATIVE_DEFINITE
     if weak:
+        return NEGATIVE_SEMIDEFINITE
+    return OTHER
+
+
+def _leibniz_det(rows) -> int | Fraction:
+    total = 0
+    for perm in itertools.permutations(range(len(rows))):
+        inversions = sum(
+            1 for i, j in itertools.combinations(range(len(perm)), 2) if perm[i] > perm[j]
+        )
+        term = (-1) ** inversions
+        for i, j in enumerate(perm):
+            term *= rows[i][j]
+        total += term
+    return total
+
+
+def _charpoly_kind(m: SymMatrix) -> str:
+    """Exact kind from the signs of the characteristic polynomial.
+
+    det(tI - M) = sum_k (-1)^k E_k t^(n-k), with E_k the sum of the k x k
+    principal minors.  All its roots are real, so by Descartes' rule every
+    eigenvalue is < 0 (<= 0) iff every coefficient (-1)^k E_k is > 0 (>= 0).
+    """
+    n = m.dim
+    coefficients = [
+        (-1) ** k
+        * sum(
+            _leibniz_det([[m.rows[i][j] for j in subset] for i in subset])
+            for subset in itertools.combinations(range(n), k)
+        )
+        for k in range(1, n + 1)
+    ]
+    if all(c > 0 for c in coefficients):
+        return NEGATIVE_DEFINITE
+    if all(c >= 0 for c in coefficients):
         return NEGATIVE_SEMIDEFINITE
     return OTHER
 
@@ -131,8 +173,16 @@ def _matrices(max_dim: int = 4):
 class TestProperties:
     @settings(max_examples=150, deadline=None)
     @given(_matrices())
+    @example(sym([[-4, 1], [1, 0]]))
+    @example(sym([[0, 0, 0], [0, -4, 1], [0, 1, 0]]))
     def test_grid_oracle_agreement(self, m: SymMatrix):
-        assert definiteness(m).kind == _grid_kind(m)
+        kind = definiteness(m).kind
+        assert kind == _charpoly_kind(m)
+        grid = _grid_kind(m)
+        if grid == OTHER:
+            assert kind == OTHER
+        elif grid == NEGATIVE_SEMIDEFINITE:
+            assert kind != NEGATIVE_DEFINITE
 
     @settings(max_examples=150, deadline=None)
     @given(_matrices())

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -28,6 +29,9 @@ from anticycle.twistor import (
     reducible_fibers,
     validate_pencil,
 )
+from anticycle.twistor import _normalize
+
+from conftest import seeded_corpus
 
 F = Fraction
 
@@ -232,6 +236,31 @@ class TestNormalize:
     def test_all_equal_coefficients_rejected(self):
         with pytest.raises(InvariantViolation):
             normalize_rotation(pencil_a())
+
+    def test_carried_decomposition_equals_recomputed(self):
+        """Rotating the decomposition gives the rotated cycle's decomposition."""
+        checked = rotated = 0
+        for config in seeded_corpus(401, 200):
+            k = config.real_k
+            if k is None:
+                continue
+            for t in range(k):
+                half = config.self_ints[t:k] + config.self_ints[:t]
+                base = CycleConfig(half + half, real_k=k, n=config.n)
+                z = zariski_decompose(base)
+                if z.l is None or z.d != 0 or len(set(z.l)) == 1:
+                    continue
+                pencil = TwistorPencil(base.n, base, PicZeroFamily.nonconstant())
+                normalized, carried = _normalize(pencil, z)
+                assert normalized == normalize_rotation(pencil)
+                recomputed = zariski_decompose(normalized.base)
+                for field in dataclasses.fields(recomputed):
+                    name = field.name
+                    assert getattr(carried, name) == getattr(recomputed, name), name
+                checked += 1
+                rotated += normalized is not pencil
+        assert checked >= 300
+        assert rotated >= 150
 
 
 class TestIntersections:
