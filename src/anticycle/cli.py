@@ -5,7 +5,9 @@ standard output either as flattened ``key: value`` lines or, with
 ``--json``, as a JSON document carrying the same values.  Exit codes:
 0 success, 1 the algorithm and the oracle disagree (``oracle-check``),
 2 parse/validation problems, 3 an inconsistent verdict (two sound
-derivations collide, so the configuration is unrealizable).
+derivations collide, so the configuration is unrealizable), 4 a computed
+Zariski decomposition failed its certification (an ``error:`` line names
+the condition).
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from typing import Any, Sequence
 
 from . import config_io
 from .cycles import (
+    CertificationError,
     CycleConfig,
     OracleError,
     QDivisor,
@@ -42,7 +45,7 @@ from .twistor import (
     InvariantViolation,
     TwistorPencil,
     VERDICT_INCONSISTENT,
-    algebraic_dimension,
+    adim_verdict,
     base_decomposition,
     fixed_system_dim,
     m_class_intersections,
@@ -56,6 +59,7 @@ EXIT_OK = 0
 EXIT_DISAGREEMENT = 1
 EXIT_INVALID = 2
 EXIT_INCONSISTENT = 3
+EXIT_UNCERTIFIED = 4
 
 
 class _CommandError(Exception):
@@ -345,7 +349,7 @@ def _cmd_fixed(args: argparse.Namespace) -> int:
 def _cmd_adim(args: argparse.Namespace) -> int:
     pencil = _load_pencil(args.file)
     try:
-        result = algebraic_dimension(pencil)
+        result = adim_verdict(pencil)
     except (ValueError, InvariantViolation) as exc:
         raise _CommandError(f"invalid: {exc}") from None
     report: dict[str, Any] = {"verdict": result.verdict}
@@ -468,6 +472,9 @@ def run(argv: Sequence[str] | None = None) -> int:
     except _CommandError as exc:
         print(str(exc))
         return exc.code
+    except CertificationError as exc:
+        print(f"error: {exc}")
+        return EXIT_UNCERTIFIED
 
 
 def main() -> None:

@@ -10,9 +10,16 @@ twistor space, tied to the configuration through C^2 = 8 - 2n.
 
 The central operation is the Zariski decomposition C = P + N into a nef
 part and a negative part, computed by exact rational arithmetic and
-certified against the defining conditions.  A deliberately naive oracle
-that enumerates all candidate supports is kept alongside the production
-algorithm so the two can be compared on every input.
+certified against the defining conditions.  The intersection form of a
+cycle has at most three non-zeros per row, and every proper subset of the
+components is a disjoint union of chains.  The production algorithm uses
+both facts: its products are a stencil over the self-intersections, and
+it solves a proper support run by run as tridiagonal chains, whose
+elimination pivots (Hirzebruch-Jung remainders) also certify negative
+definiteness.  Only the full cycle goes to the dense routines of
+:mod:`anticycle.qform`.  A deliberately naive oracle that enumerates all
+candidate supports with dense matrices is kept alongside, so the two can
+be compared on every input.
 """
 
 from __future__ import annotations
@@ -197,9 +204,14 @@ def anticanonical(config: CycleConfig) -> QDivisor:
     return QDivisor.of([1] * config.m)
 
 
-def _cycle_square(config: CycleConfig) -> Fraction:
-    ones = anticanonical(config)
-    return intersection_matrix(config).pair(ones.coeffs, ones.coeffs)
+def _cycle_square(config: CycleConfig) -> int:
+    """C^2 = 1^T M 1, read off the self-intersections."""
+    s = config.self_ints
+    if config.m == 1:
+        return s[0]
+    if config.m == 2:
+        return s[0] + s[1] + 4
+    return sum(s) + 2 * config.m
 
 
 def _coerce_divisor(config: CycleConfig, divisor) -> QDivisor:
@@ -215,10 +227,9 @@ def _coerce_divisor(config: CycleConfig, divisor) -> QDivisor:
 
 
 def _solve_on_support(
-    matrix: SymMatrix, target: QDivisor, support: Sequence[int]
+    matrix: SymMatrix, rhs: Sequence[Fraction], support: Sequence[int]
 ) -> list[Fraction] | None:
-    """Coefficients nu on ``support`` with (target - N).C_i = 0 for i in support."""
-    rhs = matrix.apply(target.coeffs)
+    """Coefficients nu on ``support`` with (M@N)_i = rhs_i for i in support."""
     sub = matrix.submatrix(support)
     solution = solve_linear(sub, [rhs[i] for i in support])
     if solution is None:
@@ -235,7 +246,7 @@ def _finish(
     divisor: QDivisor,
     n_coeffs: Sequence[Fraction],
 ) -> ZariskiDecomposition:
-    """Certify the candidate decomposition and package its invariants."""
+    """Certify a candidate decomposition with the dense matrix."""
     n_part = QDivisor(tuple(n_coeffs))
     p = divisor - n_part
     if not n_part.is_effective:
@@ -250,13 +261,101 @@ def _finish(
         raise CertificationError("P does not annihilate the support of N")
     if support and definiteness(matrix.submatrix(support)).kind != NEGATIVE_DEFINITE:
         raise CertificationError("support of N is not negative definite")
+    return _decomposition(config, divisor, p, n_part, matrix.pair(p.coeffs, p.coeffs))
+
+
+def _decomposition(
+    config: CycleConfig, divisor: QDivisor, p: QDivisor, n_part: QDivisor, d: Fraction
+) -> ZariskiDecomposition:
+    """Package a certified decomposition with m0 and l."""
     if p.is_zero:
         m0, l = None, None
     else:
         m0 = lcm(*(x.denominator for x in p.coeffs))
         l = tuple(int(x * m0) for x in p.coeffs)
-    d = matrix.pair(p.coeffs, p.coeffs)
     return ZariskiDecomposition(config, divisor, p, n_part, m0, l, d)
+
+
+def _stencil(s: Sequence[int], v: Sequence[Fraction]) -> list[Fraction]:
+    """The product M@v read off the self-intersections ``s``.
+
+    (Mv)_i = s_i v_i + v_{i-1} + v_{i+1}; two components meet twice, and
+    a single nodal component meets only itself.
+    """
+    m = len(s)
+    if m == 1:
+        return [s[0] * v[0]]
+    if m == 2:
+        return [s[0] * v[0] + 2 * v[1], 2 * v[0] + s[1] * v[1]]
+    return [s[i] * v[i] + v[i - 1] + v[(i + 1) % m] for i in range(m)]
+
+
+def _runs(support: Iterable[int], m: int) -> list[list[int]]:
+    """The maximal runs of cyclically consecutive indices of a proper support."""
+    inside = [False] * m
+    for i in support:
+        inside[i] = True
+    start = inside.index(False)
+    runs: list[list[int]] = []
+    run: list[int] = []
+    for step in range(1, m + 1):
+        i = (start + step) % m
+        if inside[i]:
+            run.append(i)
+        elif run:
+            runs.append(run)
+            run = []
+    return runs
+
+
+def _pivots(s: Sequence[int], run: Sequence[int]) -> list[Fraction]:
+    """Elimination pivots of the chain of components ``run``.
+
+    p_0 = s_0 and p_t = s_t - 1/p_{t-1}: the Hirzebruch-Jung remainders.
+    The chain is negative definite iff every pivot is negative.  The list
+    stops at the first zero pivot, past which elimination cannot go.
+    """
+    pivots = [Fraction(s[run[0]])]
+    for i in run[1:]:
+        if not pivots[-1]:
+            break
+        pivots.append(s[i] - 1 / pivots[-1])
+    return pivots
+
+
+def _solve_chain(
+    s: Sequence[int], rhs: Sequence[Fraction], support: Iterable[int]
+) -> list[Fraction] | None:
+    """N on a proper support, with (M@N)_i = rhs_i for i in the support.
+
+    Each maximal run is a tridiagonal system with unit off-diagonals,
+    solved by forward elimination and back substitution.  Returns ``None``
+    when a pivot vanishes: the run is then singular or not negative
+    definite, and Bauer's growth lemma keeps every growth support negative
+    definite.
+    """
+    coeffs = [Fraction(0)] * len(s)
+    for run in _runs(support, len(s)):
+        pivots = _pivots(s, run)
+        if not pivots[-1]:
+            return None
+        reduced = [rhs[run[0]]]
+        for t in range(1, len(run)):
+            reduced.append(rhs[run[t]] - reduced[-1] / pivots[t - 1])
+        x = reduced[-1] / pivots[-1]
+        coeffs[run[-1]] = x
+        for t in range(len(run) - 2, -1, -1):
+            x = (reduced[t] - x) / pivots[t]
+            coeffs[run[t]] = x
+    return coeffs
+
+
+def _negative_definite_support(config: CycleConfig, support: Sequence[int]) -> bool:
+    """Whether the components ``support`` span a negative-definite configuration."""
+    if len(support) == config.m:
+        return definiteness(intersection_matrix(config)).kind == NEGATIVE_DEFINITE
+    s = config.self_ints
+    return all(p < 0 for run in _runs(support, config.m) for p in _pivots(s, run))
 
 
 def zariski_decompose(config: CycleConfig, divisor=None) -> ZariskiDecomposition:
@@ -264,50 +363,74 @@ def zariski_decompose(config: CycleConfig, divisor=None) -> ZariskiDecomposition
 
     Starting from empty support, repeatedly solve for the negative part N
     on the current support S via (D - N).C_i = 0 for i in S, then grow S by
-    the least component on which D - N fails to be nef.  On termination the
-    result is certified against all defining conditions: P and N effective,
-    P nef, N supported on a negative-definite configuration, and P
-    orthogonal to every component of N.
+    the least component on which D - N fails to be nef.  Products come
+    from the stencil of the self-intersections; a proper support is solved
+    run by run as tridiagonal chains, and only the full cycle goes to the
+    dense solver.  On termination the result is certified against all
+    defining conditions: P and N effective, P nef, N supported on a
+    negative-definite configuration (read off the chain pivots of supp N),
+    and P orthogonal to every component of N.
     """
     divisor = _coerce_divisor(config, divisor)
-    matrix = intersection_matrix(config)
+    s, m = config.self_ints, config.m
+    rhs = _stencil(s, divisor.coeffs)
     support: list[int] = []
-    n_coeffs: list[Fraction] = [Fraction(0)] * config.m
+    n_coeffs: list[Fraction] = [Fraction(0)] * m
     while True:
         if support:
-            solved = _solve_on_support(matrix, divisor, support)
+            if len(support) < m:
+                solved = _solve_chain(s, rhs, support)
+            else:
+                solved = solve_linear(intersection_matrix(config), rhs)
             if solved is None:
                 raise CertificationError(
                     f"singular support system on components {support}"
                 )
             n_coeffs = solved
-        p = divisor - QDivisor(tuple(n_coeffs))
-        pdots = matrix.apply(p.coeffs)
+        p = [a - b for a, b in zip(divisor.coeffs, n_coeffs)]
+        pdots = _stencil(s, p)
         growth = next(
-            (i for i in range(config.m) if i not in support and pdots[i] < 0), None
+            (i for i in range(m) if pdots[i] < 0 and i not in support), None
         )
         if growth is None:
             break
         support.append(growth)
-    return _finish(config, matrix, divisor, n_coeffs)
+    n_part = QDivisor(tuple(n_coeffs))
+    if not n_part.is_effective:
+        raise CertificationError("negative part is not effective")
+    if any(x < 0 for x in p):
+        raise CertificationError("nef part is not effective")
+    if any(x < 0 for x in pdots):
+        raise CertificationError("nef condition fails: P.C_i < 0 for some i")
+    n_support = n_part.support
+    if any(pdots[i] != 0 for i in n_support):
+        raise CertificationError("P does not annihilate the support of N")
+    if n_support and not _negative_definite_support(config, n_support):
+        raise CertificationError("support of N is not negative definite")
+    d = sum((a * b for a, b in zip(p, pdots)), Fraction(0))
+    return _decomposition(config, divisor, QDivisor(tuple(p)), n_part, d)
 
 
 def zariski_oracle(config: CycleConfig, divisor=None) -> ZariskiDecomposition:
     """Zariski decomposition by brute-force support enumeration.
 
     Solves the orthogonality system on every one of the 2^m candidate
-    supports, keeps the candidates that satisfy all defining conditions,
-    and insists that exactly one decomposition survives.  Independent of
-    :func:`zariski_decompose` by design; limited to m <= 12 components.
+    supports with the dense matrix, keeps the candidates that satisfy all
+    defining conditions, and insists that exactly one decomposition
+    survives.  Independent of :func:`zariski_decompose` by design: it
+    shares neither its search nor its stencil, chain solve and pivots;
+    only a support that is the whole cycle meets the same dense solver in
+    both.  Limited to m <= 12 components.
     """
     if config.m > ORACLE_MAX_COMPONENTS:
         raise ValueError(f"oracle limited to m <= {ORACLE_MAX_COMPONENTS} components")
     divisor = _coerce_divisor(config, divisor)
     matrix = intersection_matrix(config)
+    rhs = matrix.apply(divisor.coeffs)
     survivors: dict[tuple[Fraction, ...], ZariskiDecomposition] = {}
     for size in range(config.m + 1):
         for support in itertools.combinations(range(config.m), size):
-            n_coeffs = _solve_on_support(matrix, divisor, support)
+            n_coeffs = _solve_on_support(matrix, rhs, support)
             if n_coeffs is None:
                 continue
             try:

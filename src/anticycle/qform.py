@@ -2,9 +2,14 @@
 
 All arithmetic is done over the rationals with :class:`fractions.Fraction`;
 no floating point enters at any stage, so definiteness verdicts and kernel
-vectors are exact certificates rather than numerical estimates.  Matrices
-here are tiny (intersection matrices of curve configurations), so clarity
-wins over asymptotics throughout.
+vectors are exact certificates rather than numerical estimates.
+
+These are the dense routines, for matrices with no structure to exploit:
+the brute-force Zariski oracle, a support that is a whole cycle, and the
+independent principal-minor check.  The production decomposition of
+:mod:`anticycle.cycles` solves proper supports as chains instead.  The
+matrix-vector product skips zero entries, since intersection matrices of
+cycles are mostly zero.
 """
 
 from __future__ import annotations
@@ -48,9 +53,10 @@ class SymMatrix:
         return len(self.rows)
 
     def apply(self, v: Sequence[int | Fraction]) -> tuple[Fraction, ...]:
-        """Matrix-vector product M@v."""
+        """Matrix-vector product M@v, skipping the zero entries of M."""
+        vals = [Fraction(x) for x in v]
         return tuple(
-            sum((row[j] * Fraction(v[j]) for j in range(self.dim)), Fraction(0))
+            sum((a * x for a, x in zip(row, vals, strict=True) if a), Fraction(0))
             for row in self.rows
         )
 

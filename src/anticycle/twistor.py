@@ -503,6 +503,11 @@ def algebraic_dimension(pencil: TwistorPencil) -> AdimReport:
     pencil exists).
     """
     _raise_if_invalid(pencil)
+    return adim_verdict(pencil)
+
+
+def adim_verdict(pencil: TwistorPencil) -> AdimReport:
+    """:func:`algebraic_dimension` of a pencil already validated."""
     if isinstance(pencil.base, EllipticBase):
         return _elliptic_verdict(pencil)
     z = base_decomposition(pencil)

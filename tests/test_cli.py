@@ -479,3 +479,46 @@ class TestDecompositionsPerCommand:
             cli.run(["fibers", "--file", str(path)])
             capsys.readouterr()
         assert decompositions == []
+
+
+class TestUncertified:
+    @pytest.mark.parametrize(
+        "command, name",
+        [
+            (("zariski",), "fixtureC.cfg"),
+            (("classify",), "fixtureC.cfg"),
+            (("blowup", "--node", "1"), "fixtureC.cfg"),
+            (("contract",), "fixtureD.cfg"),
+            (("adim",), "fixtureC-nonconstant.cfg"),
+        ],
+    )
+    def test_wrong_chain_solve_exits_four(self, command, name, monkeypatch, capsys):
+        def wrong(s, rhs, support):
+            return [F(-1)] * len(s)
+
+        monkeypatch.setattr(cycles, "_solve_chain", wrong)
+        code = cli.run([*command, "--file", fixture_path(name)])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_UNCERTIFIED == 4
+        assert captured.out == "error: negative part is not effective\n"
+        assert "Traceback" not in captured.err
+
+
+def test_adim_validates_once(monkeypatch, capsys):
+    calls = []
+    real = twistor.validate_pencil
+
+    def counting(pencil):
+        calls.append(pencil)
+        return real(pencil)
+
+    for module in (twistor, cli):
+        monkeypatch.setattr(module, "validate_pencil", counting)
+    validated = 0
+    for path in _fixture_files():
+        calls.clear()
+        cli.run(["adim", "--file", str(path)])
+        capsys.readouterr()
+        assert len(calls) <= 1, path.name
+        validated += len(calls)
+    assert validated >= 5
