@@ -59,6 +59,22 @@ class SurgeryResult:
     inserted: tuple[int, ...] = ()
 
 
+def _blow_up_one_node(selfs: list[int], l: list[int] | None, node: int) -> None:
+    """Insert a (-1)-component at the node after component ``node``, in place."""
+    m = len(selfs)
+    if m == 1:
+        selfs[:] = [selfs[0] - 4, -1]
+        if l is not None:
+            l[:] = [l[0], 2 * l[0]]
+        return
+    j = (node + 1) % m
+    selfs[node] -= 1
+    selfs[j] -= 1
+    selfs.insert(node + 1, -1)
+    if l is not None:
+        l.insert(node + 1, l[node] + l[j])
+
+
 def blow_up_node(
     config: CycleConfig, node: int, *, drop_reality: bool = False
 ) -> SurgeryResult:
@@ -74,48 +90,19 @@ def blow_up_node(
         raise SurgeryInputError(f"node index {node} out of range for m={m}")
     z = zariski_decompose(config)
     # the coefficient list m0*P to transport, when P != 0 and P^2 = 0
-    source_l = z.l if z.d == 0 else None
-
-    if config.is_real and not drop_reality:
-        k = config.real_k
-        assert k is not None
-        conj = config.conjugate_index(node)
-        selfs = list(config.self_ints)
-        for nd in (node, conj):
-            selfs[nd] -= 1
-            selfs[(nd + 1) % m] -= 1
-        l_out = list(source_l) if source_l is not None else None
-        positions = sorted((node + 1, conj + 1), reverse=True)
-        for pos in positions:
-            selfs.insert(pos, -1)
-            if l_out is not None and source_l is not None:
-                nd = pos - 1
-                l_out.insert(pos, source_l[nd] + source_l[(nd + 1) % m])
-        low, high = sorted((node + 1, conj + 1))
-        inserted = (low, high + 1)
+    l_out = list(z.l) if z.l is not None and z.d == 0 else None
+    real = config.is_real and not drop_reality
+    nodes = sorted({node, config.conjugate_index(node)}) if real else [node]
+    selfs = list(config.self_ints)
+    # the higher node first, so the lower node keeps its index
+    for nd in reversed(nodes):
+        _blow_up_one_node(selfs, l_out, nd)
+    inserted = tuple(nd + 1 + t for t, nd in enumerate(nodes))
+    if real:
         new_n = config.n + 1 if config.n is not None else None
-        result = CycleConfig(tuple(selfs), real_k=k + 1, n=new_n)
+        result = CycleConfig(tuple(selfs), real_k=config.real_k + 1, n=new_n)
     else:
-        if m == 1:
-            selfs_t: tuple[int, ...] = (config.self_ints[0] - 4, -1)
-            l_out = [source_l[0], 2 * source_l[0]] if source_l is not None else None
-            inserted = (1,)
-        else:
-            j = (node + 1) % m
-            mutable = list(config.self_ints)
-            mutable[node] -= 1
-            mutable[j] -= 1
-            mutable.insert(node + 1, -1)
-            selfs_t = tuple(mutable)
-            if source_l is not None:
-                l_list = list(source_l)
-                l_list.insert(node + 1, source_l[node] + source_l[j])
-                l_out = l_list
-            else:
-                l_out = None
-            inserted = (node + 1,)
-        result = CycleConfig(selfs_t)
-
+        result = CycleConfig(tuple(selfs))
     step = SurgeryStep("blow_up_node", (node,), config, result)
     transported = tuple(l_out) if l_out is not None else None
     return SurgeryResult(result, (step,), transported, inserted)
@@ -128,15 +115,15 @@ def blow_up_smooth(
     m = config.m
     if not 0 <= component < m:
         raise SurgeryInputError(f"component index {component} out of range for m={m}")
+    real = config.is_real and not drop_reality
+    points = sorted({component, config.conjugate_index(component)}) if real else [component]
     selfs = list(config.self_ints)
-    if config.is_real and not drop_reality:
-        conj = config.conjugate_index(component)
-        selfs[component] -= 1
-        selfs[conj] -= 1
+    for c in points:
+        selfs[c] -= 1
+    if real:
         new_n = config.n + 1 if config.n is not None else None
         result = CycleConfig(tuple(selfs), real_k=config.real_k, n=new_n)
     else:
-        selfs[component] -= 1
         result = CycleConfig(tuple(selfs))
     step = SurgeryStep("blow_up_smooth", (component,), config, result)
     return SurgeryResult(result, (step,))

@@ -401,6 +401,7 @@ def _cmd_fixtures(args: argparse.Namespace) -> int:
 # argument parsing
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="anticycle",

@@ -16,10 +16,12 @@ components is a disjoint union of chains.  The production algorithm uses
 both facts: its products are a stencil over the self-intersections, and
 it solves a proper support run by run as tridiagonal chains, whose
 elimination pivots (Hirzebruch-Jung remainders) also certify negative
-definiteness.  Only the full cycle goes to the dense routines of
-:mod:`anticycle.qform`.  A deliberately naive oracle that enumerates all
-candidate supports with dense matrices is kept alongside, so the two can
-be compared on every input.
+definiteness.  A support that is the whole cycle needs no solve (N = D),
+and its definiteness is the chain of the first m - 1 components plus the
+Schur complement of the last.  A deliberately naive oracle that
+enumerates all candidate supports with the dense matrices of
+:mod:`anticycle.qform` is kept alongside; the two share no arithmetic, so
+they can be compared on every input.
 """
 
 from __future__ import annotations
@@ -206,12 +208,7 @@ def anticanonical(config: CycleConfig) -> QDivisor:
 
 def _cycle_square(config: CycleConfig) -> int:
     """C^2 = 1^T M 1, read off the self-intersections."""
-    s = config.self_ints
-    if config.m == 1:
-        return s[0]
-    if config.m == 2:
-        return s[0] + s[1] + 4
-    return sum(s) + 2 * config.m
+    return sum(_stencil(config.self_ints, [1] * config.m))
 
 
 def _coerce_divisor(config: CycleConfig, divisor) -> QDivisor:
@@ -351,11 +348,21 @@ def _solve_chain(
 
 
 def _negative_definite_support(config: CycleConfig, support: Sequence[int]) -> bool:
-    """Whether the components ``support`` span a negative-definite configuration."""
-    if len(support) == config.m:
-        return definiteness(intersection_matrix(config)).kind == NEGATIVE_DEFINITE
-    s = config.self_ints
-    return all(p < 0 for run in _runs(support, config.m) for p in _pivots(s, run))
+    """Whether the components ``support`` span a negative-definite configuration.
+
+    A proper support is read off its chain pivots.  The whole cycle is
+    negative definite iff the chain C_1..C_{m-1} is and the Schur
+    complement of C_m is negative (Haynsworth's inertia additivity).
+    """
+    s, m = config.self_ints, config.m
+    if len(support) < m:
+        return all(p < 0 for run in _runs(support, m) for p in _pivots(s, run))
+    chain = range(m - 1)
+    if not _negative_definite_support(config, chain):
+        return False
+    last = _stencil(s, [0] * (m - 1) + [1])
+    x = _solve_chain(s, last, chain)
+    return last[-1] - sum(a * b for a, b in zip(last, x)) < 0
 
 
 def zariski_decompose(config: CycleConfig, divisor=None) -> ZariskiDecomposition:
@@ -365,11 +372,12 @@ def zariski_decompose(config: CycleConfig, divisor=None) -> ZariskiDecomposition
     on the current support S via (D - N).C_i = 0 for i in S, then grow S by
     the least component on which D - N fails to be nef.  Products come
     from the stencil of the self-intersections; a proper support is solved
-    run by run as tridiagonal chains, and only the full cycle goes to the
-    dense solver.  On termination the result is certified against all
-    defining conditions: P and N effective, P nef, N supported on a
-    negative-definite configuration (read off the chain pivots of supp N),
-    and P orthogonal to every component of N.
+    run by run as tridiagonal chains, and the whole cycle as support gives
+    N = D.  No dense matrix is built.  On termination the result is
+    certified against all defining conditions: P and N effective, P nef,
+    N supported on a negative-definite configuration (read off the chain
+    pivots of supp N, plus a Schur complement when supp N is the whole
+    cycle), and P orthogonal to every component of N.
     """
     divisor = _coerce_divisor(config, divisor)
     s, m = config.self_ints, config.m
@@ -377,11 +385,12 @@ def zariski_decompose(config: CycleConfig, divisor=None) -> ZariskiDecomposition
     support: list[int] = []
     n_coeffs: list[Fraction] = [Fraction(0)] * m
     while True:
-        if support:
-            if len(support) < m:
-                solved = _solve_chain(s, rhs, support)
-            else:
-                solved = solve_linear(intersection_matrix(config), rhs)
+        if len(support) == m:
+            # Bauer's growth lemma: the whole cycle is then negative definite,
+            # so M N = M D gives N = D; the certification below checks it.
+            n_coeffs = list(divisor.coeffs)
+        elif support:
+            solved = _solve_chain(s, rhs, support)
             if solved is None:
                 raise CertificationError(
                     f"singular support system on components {support}"
@@ -418,9 +427,10 @@ def zariski_oracle(config: CycleConfig, divisor=None) -> ZariskiDecomposition:
     supports with the dense matrix, keeps the candidates that satisfy all
     defining conditions, and insists that exactly one decomposition
     survives.  Independent of :func:`zariski_decompose` by design: it
-    shares neither its search nor its stencil, chain solve and pivots;
-    only a support that is the whole cycle meets the same dense solver in
-    both.  Limited to m <= 12 components.
+    shares neither its search nor its arithmetic, since the algorithm uses
+    only the stencil, the chain solve and the pivots, and the dense
+    :mod:`anticycle.qform` routines serve only the oracle.  Limited to
+    m <= 12 components.
     """
     if config.m > ORACLE_MAX_COMPONENTS:
         raise ValueError(f"oracle limited to m <= {ORACLE_MAX_COMPONENTS} components")
@@ -493,8 +503,9 @@ def riemann_roch_chi(config: CycleConfig, divisor) -> int:
     """Euler characteristic chi(D) = 1 + (D^2 + D.C)/2 for integral D.
 
     The cycle is anti-canonical, so this is Riemann-Roch on the underlying
-    rational surface.  A divisor with fractional entries, or one whose
-    pairing parity would make chi non-integral, is rejected.
+    rational surface.  D^2 + D.C = sum (D_i + 1)(M D)_i is read off the
+    stencil; it is even for integral D (modulo 2 it is sum s_i D_i (D_i + 1)).
+    A divisor with fractional entries is rejected.
     """
     if not isinstance(divisor, QDivisor):
         divisor = QDivisor.of(divisor)
@@ -502,14 +513,9 @@ def riemann_roch_chi(config: CycleConfig, divisor) -> int:
         raise ValueError("divisor length does not match cycle length")
     if not divisor.is_integral:
         raise ValueError("chi is only defined for integral divisors")
-    matrix = intersection_matrix(config)
-    ones = anticanonical(config)
-    total = matrix.pair(divisor.coeffs, divisor.coeffs) + matrix.pair(
-        divisor.coeffs, ones.coeffs
-    )
-    if total.denominator != 1 or total.numerator % 2 != 0:
-        raise ValueError("invalid divisor class: chi would not be an integer")
-    return 1 + total.numerator // 2
+    d = divisor.coeffs
+    total = sum((x + 1) * y for x, y in zip(d, _stencil(config.self_ints, d)))
+    return 1 + int(total) // 2
 
 
 def ambient_n(config: CycleConfig) -> int | None:
@@ -517,6 +523,6 @@ def ambient_n(config: CycleConfig) -> int | None:
     if config.n is not None:
         return config.n
     csq = _cycle_square(config)
-    if csq.denominator != 1 or (8 - csq.numerator) % 2 != 0:
+    if (8 - csq) % 2 != 0:
         return None
-    return (8 - csq.numerator) // 2
+    return (8 - csq) // 2

@@ -5,11 +5,11 @@ no floating point enters at any stage, so definiteness verdicts and kernel
 vectors are exact certificates rather than numerical estimates.
 
 These are the dense routines, for matrices with no structure to exploit:
-the brute-force Zariski oracle, a support that is a whole cycle, and the
-independent principal-minor check.  The production decomposition of
-:mod:`anticycle.cycles` solves proper supports as chains instead.  The
-matrix-vector product skips zero entries, since intersection matrices of
-cycles are mostly zero.
+the brute-force Zariski oracle and the independent principal-minor check.
+The production decomposition of :mod:`anticycle.cycles` uses none of
+them; it works on the stencil of the self-intersections and on chains.
+The matrix-vector product skips zero entries, since intersection matrices
+of cycles are mostly zero.
 """
 
 from __future__ import annotations
