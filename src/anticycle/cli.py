@@ -2,12 +2,22 @@
 
 Single-shot subcommands over config files; every report is printed to
 standard output either as flattened ``key: value`` lines or, with
-``--json``, as a JSON document carrying the same values.  Exit codes:
-0 success, 1 the algorithm and the oracle disagree (``oracle-check``),
-2 parse/validation problems, 3 an inconsistent verdict (two sound
-derivations collide, so the configuration is unrealizable), 4 a computed
-Zariski decomposition failed its certification (an ``error:`` line names
-the condition).
+``--json``, as a JSON document carrying the same values.
+
+Exit codes, all set in :func:`run`, the one place where an exception
+becomes an exit code:
+
+- 0 success;
+- 1 the algorithm and the oracle disagree (``oracle-check``);
+- 2 bad input: a file that cannot be read (``cannot read``) or parsed
+  (``parse error:``), one ``invalid:`` line per validation problem, and
+  ``invalid: <message>`` for an argument check or a ``ValueError``,
+  ``InvariantViolation`` or ``OracleError`` from the library;
+- 3 an inconsistent verdict (two sound derivations collide, so the
+  configuration is unrealizable);
+- 4 a computed Zariski decomposition failed its certification
+  (``CertificationError``; an ``error:`` line names the condition), a
+  defect in the engine, never bad input.
 """
 
 from __future__ import annotations
@@ -17,7 +27,6 @@ import functools
 import json
 import random
 import sys
-from fractions import Fraction
 from typing import Any, Sequence
 
 from . import config_io
@@ -33,7 +42,6 @@ from .cycles import (
     zariski_oracle,
 )
 from .birational import (
-    SurgeryInputError,
     blow_down,
     blow_up_node,
     blow_up_smooth,
@@ -47,7 +55,6 @@ from .twistor import (
     VERDICT_INCONSISTENT,
     adim_verdict,
     base_decomposition,
-    fixed_system_dim,
     m_class_intersections,
     normalized_model,
     prove_E_fixed,
@@ -63,11 +70,7 @@ EXIT_UNCERTIFIED = 4
 
 
 class _CommandError(Exception):
-    """Abort the current subcommand with a message and exit code."""
-
-    def __init__(self, message: str, code: int = EXIT_INVALID):
-        super().__init__(message)
-        self.code = code
+    """Abort the current subcommand; the message is printed as it stands."""
 
 
 # ---------------------------------------------------------------------------
@@ -161,10 +164,7 @@ def _load_data(path: str) -> config_io.ConfigData:
 
 def _built(data: config_io.ConfigData, build, check):
     """``build(data)``, validated by ``check``; each problem is an ``invalid:`` line."""
-    try:
-        built = build(data)
-    except config_io.ConfigError as exc:
-        raise _CommandError(f"invalid: {exc}") from None
+    built = build(data)
     issues = check(built)
     if issues:
         raise _CommandError("\n".join(f"invalid: {issue}" for issue in issues))
@@ -200,9 +200,7 @@ def _order_info(data: config_io.ConfigData) -> int | str | None:
 
 def _component_index(config: CycleConfig, one_based: int, what: str) -> int:
     if not 1 <= one_based <= config.m:
-        raise _CommandError(
-            f"invalid: {what} {one_based} out of range for m = {config.m}"
-        )
+        raise ValueError(f"{what} {one_based} out of range for m = {config.m}")
     return one_based - 1
 
 
@@ -225,20 +223,15 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 def _cmd_blowup(args: argparse.Namespace) -> int:
     config = _load_cycle(args.file)
     if args.smooth == (args.node is not None):
-        raise _CommandError(
-            "invalid: give either --node I, or --component I with --smooth"
-        )
-    try:
-        if args.smooth:
-            if args.component is None:
-                raise _CommandError("invalid: --smooth requires --component")
-            index = _component_index(config, args.component, "component")
-            result = blow_up_smooth(config, index, drop_reality=args.drop_reality)
-        else:
-            index = _component_index(config, args.node, "node")
-            result = blow_up_node(config, index, drop_reality=args.drop_reality)
-    except SurgeryInputError as exc:
-        raise _CommandError(f"invalid: {exc}") from None
+        raise ValueError("give either --node I, or --component I with --smooth")
+    if args.smooth:
+        if args.component is None:
+            raise ValueError("--smooth requires --component")
+        index = _component_index(config, args.component, "component")
+        result = blow_up_smooth(config, index, drop_reality=args.drop_reality)
+    else:
+        index = _component_index(config, args.node, "node")
+        result = blow_up_node(config, index, drop_reality=args.drop_reality)
     report: dict[str, Any] = {"result": _config_fields(result.config)}
     if result.inserted:
         report["inserted"] = [i + 1 for i in result.inserted]
@@ -252,10 +245,7 @@ def _cmd_blowup(args: argparse.Namespace) -> int:
 def _cmd_blowdown(args: argparse.Namespace) -> int:
     config = _load_cycle(args.file)
     index = _component_index(config, args.component, "component")
-    try:
-        result = blow_down(config, index, drop_reality=args.drop_reality)
-    except SurgeryInputError as exc:
-        raise _CommandError(f"invalid: {exc}") from None
+    result = blow_down(config, index, drop_reality=args.drop_reality)
     _emit({"result": _config_fields(result.config)}, args.json)
     return EXIT_OK
 
@@ -299,16 +289,9 @@ def _cmd_fibers(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _normalized_model(pencil: TwistorPencil):
-    try:
-        return normalized_model(pencil, base_decomposition(pencil))
-    except (ValueError, InvariantViolation) as exc:
-        raise _CommandError(f"invalid: {exc}") from None
-
-
 def _cmd_intnums(args: argparse.Namespace) -> int:
     pencil = _load_pencil(args.file, default_family=True)
-    model = _normalized_model(pencil)
+    model = normalized_model(pencil, base_decomposition(pencil))
     values = m_class_intersections(model, args.r, args.rho)
     report = {
         "r": args.r,
@@ -322,25 +305,24 @@ def _cmd_intnums(args: argparse.Namespace) -> int:
 
 def _cmd_fixed(args: argparse.Namespace) -> int:
     if (args.rho is None) == (args.nu is None):
-        raise _CommandError("invalid: give exactly one of --rho and --nu")
+        raise ValueError("give exactly one of --rho and --nu")
     pencil = _load_pencil(args.file, default_family=True)
     report: dict[str, Any] = {"r": args.r}
     if args.nu is not None:
         profile = family_profile(pencil.family)
         if profile.kind != CONSTANT_FINITE:
-            raise _CommandError(
-                "invalid: --nu needs a constant family of finite order"
-            )
+            raise ValueError("--nu needs a constant family of finite order")
         rho = args.nu * profile.tau
         report["nu"] = args.nu
         report["tau"] = profile.tau
     else:
         rho = args.rho
     report["rho"] = rho
-    model = _normalized_model(pencil)
+    model = normalized_model(pencil, base_decomposition(pencil))
     derivation = prove_E_fixed(model, args.r, rho)
     if args.nu is not None and derivation.holds and args.r >= 0:
-        report["pluri_dim"] = fixed_system_dim(model, args.r, rho)
+        # once the vertical divisor is proven fixed, |M(r, rho)| has dimension r
+        report["pluri_dim"] = args.r
     report["derivations"] = [_derivation_fields(derivation)]
     _emit(report, args.json)
     return EXIT_OK
@@ -348,10 +330,7 @@ def _cmd_fixed(args: argparse.Namespace) -> int:
 
 def _cmd_adim(args: argparse.Namespace) -> int:
     pencil = _load_pencil(args.file)
-    try:
-        result = adim_verdict(pencil)
-    except (ValueError, InvariantViolation) as exc:
-        raise _CommandError(f"invalid: {exc}") from None
+    result = adim_verdict(pencil)
     report: dict[str, Any] = {"verdict": result.verdict}
     if result.decomposition is not None:
         report.update(_decomposition_fields(result.decomposition))
@@ -364,7 +343,7 @@ def _cmd_adim(args: argparse.Namespace) -> int:
 
 def _cmd_oracle_check(args: argparse.Namespace) -> int:
     if args.count < 1:
-        raise _CommandError(f"invalid: --count must be at least 1, got {args.count}")
+        raise ValueError(f"--count must be at least 1, got {args.count}")
     configs: list[CycleConfig]
     if args.file is not None:
         configs = [_load_cycle(args.file)]
@@ -372,13 +351,10 @@ def _cmd_oracle_check(args: argparse.Namespace) -> int:
         rng = random.Random(args.seed)
         configs = [config_io.random_small_config(rng) for _ in range(args.count)]
     else:
-        raise _CommandError("invalid: give --file or --seed")
+        raise ValueError("give --file or --seed")
     for config in configs:
-        try:
-            fast = zariski_decompose(config)
-            slow = zariski_oracle(config)
-        except (ValueError, OracleError) as exc:
-            raise _CommandError(f"invalid: {exc}") from None
+        fast = zariski_decompose(config)
+        slow = zariski_oracle(config)
         if fast.p != slow.p or fast.n_part != slow.n_part:
             print(f"disagreement on selfints = {list(config.self_ints)}")
             return EXIT_DISAGREEMENT
@@ -388,7 +364,7 @@ def _cmd_oracle_check(args: argparse.Namespace) -> int:
 
 def _cmd_fixtures(args: argparse.Namespace) -> int:
     if args.count < 1:
-        raise _CommandError(f"invalid: --count must be at least 1, got {args.count}")
+        raise ValueError(f"--count must be at least 1, got {args.count}")
     batch = config_io.generate_fixtures(args.seed, args.count)
     for index, data in enumerate(batch, start=1):
         print(f"# fixture {index} of {args.count}, seed {args.seed}")
@@ -466,13 +442,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except _CommandError as exc:
         print(str(exc))
-        return exc.code
+        return EXIT_INVALID
+    except (ValueError, InvariantViolation, OracleError) as exc:
+        print(f"invalid: {exc}")
+        return EXIT_INVALID
     except CertificationError as exc:
         print(f"error: {exc}")
         return EXIT_UNCERTIFIED

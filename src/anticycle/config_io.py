@@ -172,10 +172,7 @@ def build_cycle(data: ConfigData) -> CycleConfig:
         raise ConfigError("config carries no cycle")
     if data.k is not None:
         raise ConfigError("k only applies to real configs given via 'self'")
-    config = CycleConfig.plain(data.self_ints)
-    if data.n is not None:
-        config = CycleConfig(config.self_ints, n=data.n)
-    return config
+    return CycleConfig(tuple(int(s) for s in data.self_ints), n=data.n)
 
 
 def build_pencil(data: ConfigData, *, default_family: bool = False) -> TwistorPencil:

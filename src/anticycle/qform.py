@@ -20,8 +20,6 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-QQ = Fraction
-
 NEGATIVE_DEFINITE = "negative_definite"
 NEGATIVE_SEMIDEFINITE = "negative_semidefinite"
 OTHER = "other"

@@ -481,12 +481,7 @@ def pluri_system_dim(pencil: TwistorPencil, r: int, nu: int) -> int:
     assert profile.tau is not None
     _raise_if_invalid(pencil)
     model = normalized_model(pencil, base_decomposition(pencil))
-    return fixed_system_dim(model, r, nu * profile.tau)
-
-
-def fixed_system_dim(model: ResolvedModel, r: int, rho: int) -> int:
-    """Dimension r of |M(r, rho)| once its vertical divisor is proven fixed."""
-    if not prove_E_fixed(model, r, rho).holds:
+    if not prove_E_fixed(model, r, nu * profile.tau).holds:
         raise InvariantViolation("fixed-component derivation unexpectedly failed")
     return r
 

@@ -490,6 +490,8 @@ class TestUncertified:
             (("blowup", "--node", "1"), "fixtureC.cfg"),
             (("contract",), "fixtureD.cfg"),
             (("adim",), "fixtureC-nonconstant.cfg"),
+            (("intnums", "--rho", "1"), "fixtureC.cfg"),
+            (("fixed", "--rho", "1"), "fixtureC.cfg"),
         ],
     )
     def test_wrong_chain_solve_exits_four(self, command, name, monkeypatch, capsys):
@@ -502,6 +504,64 @@ class TestUncertified:
         assert code == cli.EXIT_UNCERTIFIED == 4
         assert captured.out == "error: negative part is not effective\n"
         assert "Traceback" not in captured.err
+
+
+class TestExitCodeTable:
+    """A library input error leaves every file subcommand as one ``invalid:`` line."""
+
+    @pytest.mark.parametrize(
+        "error", [ValueError, twistor.InvariantViolation, cycles.OracleError]
+    )
+    @pytest.mark.parametrize(
+        "command, name, call",
+        [
+            (("zariski",), "fixtureC.cfg", "zariski_decompose"),
+            (("classify",), "fixtureC.cfg", "classify_decomposition"),
+            (("blowup", "--node", "1"), "fixtureA.cfg", "blow_up_node"),
+            (("blowdown", "--component", "1"), "fixtureC.cfg", "blow_down"),
+            (("contract",), "fixtureD.cfg", "contract_to_nef_model"),
+            (("fibers",), "fixtureC.cfg", "reducible_fibers"),
+            (("intnums", "--rho", "1"), "fixtureC.cfg", "m_class_intersections"),
+            (("fixed", "--rho", "1"), "fixtureC.cfg", "prove_E_fixed"),
+            (("adim",), "fixtureC-nonconstant.cfg", "adim_verdict"),
+            (("oracle-check",), "fixtureC.cfg", "zariski_oracle"),
+        ],
+    )
+    def test_library_error_exits_two(
+        self, command, name, call, error, monkeypatch, capsys
+    ):
+        def failing(*args, **kwargs):
+            raise error("boom")
+
+        monkeypatch.setattr(cli, call, failing)
+        code = cli.run([*command, "--file", fixture_path(name)])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_INVALID == 2
+        assert captured.out == "invalid: boom\n"
+        assert "Traceback" not in captured.err
+
+
+def test_fixed_nu_proves_once(monkeypatch, capsys):
+    calls = []
+    real = twistor.prove_E_fixed
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for module in (twistor, cli):
+        monkeypatch.setattr(module, "prove_E_fixed", counting)
+    code, out = run_cli(
+        capsys,
+        "fixed",
+        "--file",
+        fixture_path("fixtureC-constfinite.cfg"),
+        "--nu",
+        "1",
+    )
+    assert code == 0
+    assert "pluri_dim: 0" in out
+    assert len(calls) == 1
 
 
 def test_adim_validates_once(monkeypatch, capsys):
