@@ -11,7 +11,6 @@ from .cycles import (
     anticanonical,
     classify_kodaira,
     intersection_matrix,
-    m0_coefficients,
     riemann_roch_chi,
     validate,
     zariski_decompose,
@@ -47,7 +46,6 @@ from .twistor import (
     build_resolved_model,
     m_class_intersections,
     normalize_rotation,
-    pluri_system_dim,
     prove_E_fixed,
     reducible_fibers,
     validate_pencil,

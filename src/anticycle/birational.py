@@ -36,12 +36,10 @@ class SurgeryInputError(ValueError):
 
 @dataclass(frozen=True)
 class SurgeryStep:
-    """One recorded surgery: what was done, where, and on which config."""
+    """One recorded surgery: what was done, and at which 0-based index."""
 
     kind: str
-    indices: tuple[int, ...]
-    before: CycleConfig
-    after: CycleConfig
+    index: int
 
 
 @dataclass(frozen=True)
@@ -103,7 +101,7 @@ def blow_up_node(
         result = CycleConfig(tuple(selfs), real_k=config.real_k + 1, n=new_n)
     else:
         result = CycleConfig(tuple(selfs))
-    step = SurgeryStep("blow_up_node", (node,), config, result)
+    step = SurgeryStep("blow_up_node", node)
     transported = tuple(l_out) if l_out is not None else None
     return SurgeryResult(result, (step,), transported, inserted)
 
@@ -125,8 +123,7 @@ def blow_up_smooth(
         result = CycleConfig(tuple(selfs), real_k=config.real_k, n=new_n)
     else:
         result = CycleConfig(tuple(selfs))
-    step = SurgeryStep("blow_up_smooth", (component,), config, result)
-    return SurgeryResult(result, (step,))
+    return SurgeryResult(result, (SurgeryStep("blow_up_smooth", component),))
 
 
 def _contract_once(selfs: list[int], component: int) -> list[int]:
@@ -175,8 +172,7 @@ def blow_down(
     else:
         selfs = _contract_once(list(config.self_ints), component)
         result = CycleConfig(tuple(selfs))
-    step = SurgeryStep("blow_down", (component,), config, result)
-    return SurgeryResult(result, (step,))
+    return SurgeryResult(result, (SurgeryStep("blow_down", component),))
 
 
 def contract_to_nef_model(

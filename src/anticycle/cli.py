@@ -10,9 +10,10 @@ becomes an exit code:
 - 0 success;
 - 1 the algorithm and the oracle disagree (``oracle-check``);
 - 2 bad input: a file that cannot be read (``cannot read``) or parsed
-  (``parse error:``), one ``invalid:`` line per validation problem, and
-  ``invalid: <message>`` for an argument check or a ``ValueError``,
-  ``InvariantViolation`` or ``OracleError`` from the library;
+  (``parse error:``), or an argument check, a validation or a
+  ``ValueError``, ``InvariantViolation`` or ``OracleError`` from the
+  library, printed as one ``invalid:`` line per line of its message (a
+  validation message has one line per problem);
 - 3 an inconsistent verdict (two sound derivations collide, so the
   configuration is unrealizable);
 - 4 a computed Zariski decomposition failed its certification
@@ -36,7 +37,7 @@ from .cycles import (
     OracleError,
     QDivisor,
     ZariskiDecomposition,
-    classify_decomposition,
+    classify_kodaira,
     validate,
     zariski_decompose,
     zariski_oracle,
@@ -53,7 +54,7 @@ from .twistor import (
     InvariantViolation,
     TwistorPencil,
     VERDICT_INCONSISTENT,
-    adim_verdict,
+    algebraic_dimension,
     base_decomposition,
     m_class_intersections,
     normalized_model,
@@ -70,7 +71,7 @@ EXIT_UNCERTIFIED = 4
 
 
 class _CommandError(Exception):
-    """Abort the current subcommand; the message is printed as it stands."""
+    """A file that cannot be read or parsed; the message is printed as it stands."""
 
 
 # ---------------------------------------------------------------------------
@@ -163,11 +164,12 @@ def _load_data(path: str) -> config_io.ConfigData:
 
 
 def _built(data: config_io.ConfigData, build, check):
-    """``build(data)``, validated by ``check``; each problem is an ``invalid:`` line."""
+    """``build(data)``, validated by ``check``; a ``ValueError`` names each
+    problem on a line of its own."""
     built = build(data)
     issues = check(built)
     if issues:
-        raise _CommandError("\n".join(f"invalid: {issue}" for issue in issues))
+        raise ValueError("\n".join(issues))
     return built
 
 
@@ -179,11 +181,12 @@ def _load_decomposition(path: str) -> tuple[ZariskiDecomposition, str]:
     """The decomposition of the file's cycle and its anti-Kodaira class."""
     data = _load_data(path)
     z = zariski_decompose(_built(data, config_io.build_cycle, validate))
-    return z, classify_decomposition(z, _order_info(data))
+    return z, classify_kodaira(z, _order_info(data))
 
 
-def _load_pencil(path: str, *, default_family: bool = False) -> TwistorPencil:
-    build = functools.partial(config_io.build_pencil, default_family=default_family)
+def _load_pencil(path: str) -> TwistorPencil:
+    """The file's pencil, validated; a missing family reads as nonconstant."""
+    build = functools.partial(config_io.build_pencil, default_family=True)
     return _built(_load_data(path), build, validate_pencil)
 
 
@@ -261,7 +264,7 @@ def _cmd_contract(args: argparse.Namespace) -> int:
         "found": True,
         "result": _config_fields(final),
         "steps": [
-            {"kind": s.kind, "component": s.indices[0] + 1} for s in steps
+            {"kind": s.kind, "component": s.index + 1} for s in steps
         ],
     }
     _emit(report, args.json)
@@ -269,7 +272,7 @@ def _cmd_contract(args: argparse.Namespace) -> int:
 
 
 def _cmd_fibers(args: argparse.Namespace) -> int:
-    pencil = _load_pencil(args.file, default_family=True)
+    pencil = _load_pencil(args.file)
     descriptors = reducible_fibers(pencil)
     report = {
         "fibers": [
@@ -290,7 +293,7 @@ def _cmd_fibers(args: argparse.Namespace) -> int:
 
 
 def _cmd_intnums(args: argparse.Namespace) -> int:
-    pencil = _load_pencil(args.file, default_family=True)
+    pencil = _load_pencil(args.file)
     model = normalized_model(pencil, base_decomposition(pencil))
     values = m_class_intersections(model, args.r, args.rho)
     report = {
@@ -306,7 +309,7 @@ def _cmd_intnums(args: argparse.Namespace) -> int:
 def _cmd_fixed(args: argparse.Namespace) -> int:
     if (args.rho is None) == (args.nu is None):
         raise ValueError("give exactly one of --rho and --nu")
-    pencil = _load_pencil(args.file, default_family=True)
+    pencil = _load_pencil(args.file)
     report: dict[str, Any] = {"r": args.r}
     if args.nu is not None:
         profile = family_profile(pencil.family)
@@ -329,8 +332,7 @@ def _cmd_fixed(args: argparse.Namespace) -> int:
 
 
 def _cmd_adim(args: argparse.Namespace) -> int:
-    pencil = _load_pencil(args.file)
-    result = adim_verdict(pencil)
+    result = algebraic_dimension(config_io.build_pencil(_load_data(args.file)))
     report: dict[str, Any] = {"verdict": result.verdict}
     if result.decomposition is not None:
         report.update(_decomposition_fields(result.decomposition))
@@ -449,7 +451,8 @@ def run(argv: Sequence[str] | None = None) -> int:
         print(str(exc))
         return EXIT_INVALID
     except (ValueError, InvariantViolation, OracleError) as exc:
-        print(f"invalid: {exc}")
+        for line in str(exc).split("\n"):
+            print(f"invalid: {line}")
         return EXIT_INVALID
     except CertificationError as exc:
         print(f"error: {exc}")

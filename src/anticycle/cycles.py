@@ -455,35 +455,17 @@ def zariski_oracle(config: CycleConfig, divisor=None) -> ZariskiDecomposition:
     return next(iter(survivors.values()))
 
 
-def m0_coefficients(decomposition: ZariskiDecomposition) -> tuple[int, tuple[int, ...]]:
-    """The pair (m0, l) of a decomposition with non-vanishing nef part."""
-    if decomposition.m0 is None or decomposition.l is None:
-        raise ValueError("nef part is zero: m0 and l are undefined")
-    return decomposition.m0, decomposition.l
-
-
-def degree(decomposition: ZariskiDecomposition) -> Fraction:
-    """The degree d = P.P of the nef part."""
-    return decomposition.d
-
-
 def classify_kodaira(
-    config: CycleConfig, order_info: int | str | None = None
-) -> str:
-    """Anti-Kodaira classification of the surface carrying the cycle.
-
-    ``order_info`` refines the boundary case P != 0, P^2 = 0: pass a
-    positive integer for a finite normal-bundle order (dimension one), the
-    string ``"infinite"`` for infinite order (dimension zero), or ``None``
-    when the order is unknown (classification deferred).
-    """
-    return classify_decomposition(zariski_decompose(config), order_info)
-
-
-def classify_decomposition(
     z: ZariskiDecomposition, order_info: int | str | None = None
 ) -> str:
-    """:func:`classify_kodaira` read off an already computed decomposition."""
+    """Anti-Kodaira classification of the surface carrying the cycle of ``z``.
+
+    ``z`` is the cycle's Zariski decomposition.  ``order_info`` refines the
+    boundary case P != 0, P^2 = 0: pass a positive integer for a finite
+    normal-bundle order (dimension one), the string ``"infinite"`` for
+    infinite order (dimension zero), or ``None`` when the order is unknown
+    (classification deferred).
+    """
     if order_info is not None:
         if isinstance(order_info, str):
             if order_info != ORDER_INFINITE:

@@ -194,7 +194,7 @@ def validate_pencil(pencil: TwistorPencil) -> list[str]:
 def _raise_if_invalid(pencil: TwistorPencil) -> None:
     issues = validate_pencil(pencil)
     if issues:
-        raise ValueError("; ".join(issues))
+        raise ValueError("\n".join(issues))
 
 
 def base_decomposition(pencil: TwistorPencil) -> ZariskiDecomposition:
@@ -250,22 +250,19 @@ def reducible_fibers(pencil: TwistorPencil) -> tuple[FiberDescriptor, ...]:
     return tuple(descriptors)
 
 
-def normalize_rotation(pencil: TwistorPencil) -> TwistorPencil:
+def normalize_rotation(
+    pencil: TwistorPencil, z: ZariskiDecomposition
+) -> tuple[TwistorPencil, ZariskiDecomposition]:
     """Cyclically relabel the base so that l_1 > l_2.
 
-    Requires a real cycle base with P != 0, P^2 = 0 and K^2 < 0: then the
+    ``z`` is the Zariski decomposition of the pencil's base cycle.  Requires
+    a real cycle base with P != 0, P^2 = 0 and K^2 < 0: then the
     coefficient list of m0*P is non-constant, so some rotation puts a
     strict descent at the front.  The rotation respects reality (both
     halves rotate together) and permutes the resolution bits accordingly.
+    Returns the rotated pencil and the rotated base's decomposition, which
+    by uniqueness is ``z`` rotated alike.
     """
-    return _normalize(pencil, base_decomposition(pencil))[0]
-
-
-def _normalize(
-    pencil: TwistorPencil, z: ZariskiDecomposition
-) -> tuple[TwistorPencil, ZariskiDecomposition]:
-    """:func:`normalize_rotation` given the base's decomposition z; also returns
-    the rotated base's decomposition, which by uniqueness is z rotated alike."""
     config = z.config
     k = config.real_k
     if k is None:
@@ -314,7 +311,7 @@ def build_resolved_model(pencil: TwistorPencil) -> ResolvedModel:
 
 def normalized_model(pencil: TwistorPencil, z: ZariskiDecomposition) -> ResolvedModel:
     """The resolved model of a validated pencil, normalized; its base decomposes as z."""
-    return _resolved_model(*_normalize(pencil, z))
+    return _resolved_model(*normalize_rotation(pencil, z))
 
 
 def _resolved_model(pencil: TwistorPencil, z: ZariskiDecomposition) -> ResolvedModel:
@@ -464,28 +461,6 @@ def prove_E_fixed(model: ResolvedModel, r: int, rho: int) -> Derivation:
     return Derivation("fixed-component", steps, conclusion, holds)
 
 
-def pluri_system_dim(pencil: TwistorPencil, r: int, nu: int) -> int:
-    """Dimension of |M(r, nu*tau*m0*P)|-type systems: always r.
-
-    Requires a constant family of finite order tau, a base with P != 0 and
-    P^2 = 0, and K^2 < 0 so the fixed-component derivation applies: the
-    moving part is the pulled-back degree-r system on the pencil base.
-    """
-    if r < 0:
-        raise ValueError("r must be non-negative")
-    if nu < 1:
-        raise ValueError("nu must be a positive integer")
-    profile = family_profile(pencil.family)
-    if profile.kind != CONSTANT_FINITE:
-        raise ValueError("pluri-system dimensions require a constant finite-order family")
-    assert profile.tau is not None
-    _raise_if_invalid(pencil)
-    model = normalized_model(pencil, base_decomposition(pencil))
-    if not prove_E_fixed(model, r, nu * profile.tau).holds:
-        raise InvariantViolation("fixed-component derivation unexpectedly failed")
-    return r
-
-
 def algebraic_dimension(pencil: TwistorPencil) -> AdimReport:
     """Decide the algebraic dimension of the twistor space over the pencil.
 
@@ -495,14 +470,10 @@ def algebraic_dimension(pencil: TwistorPencil) -> AdimReport:
     positive degree gives 3, and the boundary case follows the restriction
     family, where a constant finite order at n > 4 triggers two sound but
     contradictory derivations: the verdict is "inconsistent" (no such
-    pencil exists).
+    pencil exists).  An invalid pencil raises ``ValueError`` with one
+    line per problem.
     """
     _raise_if_invalid(pencil)
-    return adim_verdict(pencil)
-
-
-def adim_verdict(pencil: TwistorPencil) -> AdimReport:
-    """:func:`algebraic_dimension` of a pencil already validated."""
     if isinstance(pencil.base, EllipticBase):
         return _elliptic_verdict(pencil)
     z = base_decomposition(pencil)

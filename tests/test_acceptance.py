@@ -65,7 +65,7 @@ def test_criterion_1_definite_family():
         assert kind == NEGATIVE_DEFINITE, f"n={n} not definite"
         z = zariski_decompose(config)
         assert z.p.is_zero, f"n={n} has nonzero nef part"
-        assert classify_kodaira(config, None) == "zero"
+        assert classify_kodaira(z, None) == "zero"
         pencil = TwistorPencil(
             n=n, base=config, family=PicZeroFamily.nonconstant()
         )
@@ -157,7 +157,7 @@ def test_criterion_5_smooth_blowup_kills_nef_part():
 def test_criterion_6_intersection_closed_forms():
     """Model intersection numbers match -rho(l1-l2) / +rho(l1-l2)."""
     def check(pencil: TwistorPencil) -> None:
-        normalized = normalize_rotation(pencil)
+        normalized, _ = normalize_rotation(pencil, zariski_decompose(pencil.base))
         model = build_resolved_model(normalized)
         l1, l2 = model.l[0], model.l[1]
         for rho in range(-3, 4):

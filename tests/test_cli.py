@@ -516,14 +516,14 @@ class TestExitCodeTable:
         "command, name, call",
         [
             (("zariski",), "fixtureC.cfg", "zariski_decompose"),
-            (("classify",), "fixtureC.cfg", "classify_decomposition"),
+            (("classify",), "fixtureC.cfg", "classify_kodaira"),
             (("blowup", "--node", "1"), "fixtureA.cfg", "blow_up_node"),
             (("blowdown", "--component", "1"), "fixtureC.cfg", "blow_down"),
             (("contract",), "fixtureD.cfg", "contract_to_nef_model"),
             (("fibers",), "fixtureC.cfg", "reducible_fibers"),
             (("intnums", "--rho", "1"), "fixtureC.cfg", "m_class_intersections"),
             (("fixed", "--rho", "1"), "fixtureC.cfg", "prove_E_fixed"),
-            (("adim",), "fixtureC-nonconstant.cfg", "adim_verdict"),
+            (("adim",), "fixtureC-nonconstant.cfg", "algebraic_dimension"),
             (("oracle-check",), "fixtureC.cfg", "zariski_oracle"),
         ],
     )
@@ -539,6 +539,25 @@ class TestExitCodeTable:
         assert code == cli.EXIT_INVALID == 2
         assert captured.out == "invalid: boom\n"
         assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "command",
+    [("fibers",), ("intnums", "--rho", "1"), ("fixed", "--rho", "1"), ("adim",)],
+)
+def test_each_validation_issue_is_one_line(command, tmp_path, capsys):
+    bad = tmp_path / "two-issues.cfg"
+    bad.write_text(
+        "base = cycle\nn = 3\nk = 2\nself = [-1, -4]\nfamily = const unity 1/6\n"
+    )
+    code = cli.run([*command, "--file", str(bad)])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_INVALID == 2
+    assert captured.out == (
+        "invalid: twistor pencils require n >= 4\n"
+        "invalid: C^2 = -2 but 8 - 2n = 2\n"
+    )
+    assert "Traceback" not in captured.err
 
 
 def test_fixed_nu_proves_once(monkeypatch, capsys):

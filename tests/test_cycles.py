@@ -13,9 +13,7 @@ from anticycle.cycles import (
     QDivisor,
     ambient_n,
     classify_kodaira,
-    degree,
     intersection_matrix,
-    m0_coefficients,
     riemann_roch_chi,
     validate,
     zariski_decompose,
@@ -175,38 +173,37 @@ class TestInvariants:
 class TestInvariantAccessors:
     def test_m0_fixture_c(self, cycle_c):
         z = zariski_decompose(cycle_c)
-        assert m0_coefficients(z) == (2, (2, 1, 2, 1))
+        assert (z.m0, z.l) == (2, (2, 1, 2, 1))
 
     def test_m0_fixture_a(self, cycle_a):
         z = zariski_decompose(cycle_a)
-        assert m0_coefficients(z) == (1, (1, 1))
+        assert (z.m0, z.l) == (1, (1, 1))
 
     def test_m0_undefined_for_zero_p(self, cycle_b):
         z = zariski_decompose(cycle_b)
-        with pytest.raises(ValueError):
-            m0_coefficients(z)
+        assert z.m0 is None and z.l is None
 
     def test_degree_values(self, cycle_b, cycle_c, cycle_e):
-        assert degree(zariski_decompose(cycle_b)) == 0
-        assert degree(zariski_decompose(cycle_c)) == 0
-        assert degree(zariski_decompose(cycle_e)) == F(18, 5)
+        assert zariski_decompose(cycle_b).d == 0
+        assert zariski_decompose(cycle_c).d == 0
+        assert zariski_decompose(cycle_e).d == F(18, 5)
 
 
 class TestClassify:
     def test_zero_for_definite(self, cycle_b):
-        assert classify_kodaira(cycle_b, None) == "zero"
+        assert classify_kodaira(zariski_decompose(cycle_b), None) == "zero"
 
     def test_two_for_positive_degree(self, cycle_e):
-        assert classify_kodaira(cycle_e, None) == "two"
+        assert classify_kodaira(zariski_decompose(cycle_e), None) == "two"
 
     def test_one_for_finite_order(self, cycle_c):
-        assert classify_kodaira(cycle_c, 6) == "one"
+        assert classify_kodaira(zariski_decompose(cycle_c), 6) == "one"
 
     def test_zero_for_infinite_order(self, cycle_c):
-        assert classify_kodaira(cycle_c, "infinite") == "zero"
+        assert classify_kodaira(zariski_decompose(cycle_c), "infinite") == "zero"
 
     def test_needs_order_without_info(self, cycle_c):
-        assert classify_kodaira(cycle_c, None) == "needs_order"
+        assert classify_kodaira(zariski_decompose(cycle_c), None) == "needs_order"
 
 
 class TestRiemannRoch:

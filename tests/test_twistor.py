@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import dataclasses
 import random
+import itertools
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from anticycle.cycles import CycleConfig, zariski_decompose
+from anticycle.cycles import CycleConfig, ambient_n, zariski_decompose
 from anticycle.config_io import random_small_config
 from anticycle.pic0 import PicZeroElement, PicZeroFamily
 from anticycle.twistor import (
@@ -24,12 +26,10 @@ from anticycle.twistor import (
     conjugate_name,
     m_class_intersections,
     normalize_rotation,
-    pluri_system_dim,
     prove_E_fixed,
     reducible_fibers,
     validate_pencil,
 )
-from anticycle.twistor import _normalize
 
 from conftest import seeded_corpus
 
@@ -179,7 +179,8 @@ class TestBuildModel:
         pencil = TwistorPencil(
             n=6, base=config, family=PicZeroFamily.nonconstant()
         )
-        model = build_resolved_model(normalize_rotation(pencil))
+        normalized, _ = normalize_rotation(pencil, zariski_decompose(config))
+        model = build_resolved_model(normalized)
         assert len(model.cycle_order) == 8
 
     def test_fixture_b_rejected(self):
@@ -220,7 +221,8 @@ class TestBuildModel:
 class TestNormalize:
     def test_fixture_c_unchanged(self):
         pencil = pencil_c()
-        assert normalize_rotation(pencil).base == pencil.base
+        normalized, _ = normalize_rotation(pencil, zariski_decompose(pencil.base))
+        assert normalized.base == pencil.base
 
     def test_rotated_fixture_c_shifts(self):
         rotated = TwistorPencil(
@@ -228,14 +230,15 @@ class TestNormalize:
             base=CycleConfig.real((-4, -1), 5),
             family=PicZeroFamily.nonconstant(),
         )
-        normalized = normalize_rotation(rotated)
+        normalized, _ = normalize_rotation(rotated, zariski_decompose(rotated.base))
         assert normalized.base.self_ints == (-1, -4, -1, -4)
         z = zariski_decompose(normalized.base)
         assert z.l == (2, 1, 2, 1)
 
     def test_all_equal_coefficients_rejected(self):
+        pencil = pencil_a()
         with pytest.raises(InvariantViolation):
-            normalize_rotation(pencil_a())
+            normalize_rotation(pencil, zariski_decompose(pencil.base))
 
     def test_carried_decomposition_equals_recomputed(self):
         """Rotating the decomposition gives the rotated cycle's decomposition."""
@@ -251,8 +254,7 @@ class TestNormalize:
                 if z.l is None or z.d != 0 or len(set(z.l)) == 1:
                     continue
                 pencil = TwistorPencil(base.n, base, PicZeroFamily.nonconstant())
-                normalized, carried = _normalize(pencil, z)
-                assert normalized == normalize_rotation(pencil)
+                normalized, carried = normalize_rotation(pencil, z)
                 recomputed = zariski_decompose(normalized.base)
                 for field in dataclasses.fields(recomputed):
                     name = field.name
@@ -368,25 +370,6 @@ class TestProveFixed:
                 assert prove_E_fixed(model, 1, rho).holds == (rho > 0)
 
 
-class TestPluriSystemDim:
-    def test_r_one(self):
-        assert pluri_system_dim(pencil_c(finite_family(1, 6)), 1, 1) == 1
-
-    def test_r_zero(self):
-        assert pluri_system_dim(pencil_c(finite_family(1, 6)), 0, 4) == 0
-
-    def test_r_three(self):
-        assert pluri_system_dim(pencil_c(finite_family(1, 6)), 3, 5) == 3
-
-    def test_requires_constant_finite(self):
-        with pytest.raises(ValueError):
-            pluri_system_dim(pencil_c(), 1, 1)
-
-    def test_rejects_negative_r(self):
-        with pytest.raises(ValueError):
-            pluri_system_dim(pencil_c(finite_family(1, 6)), -1, 1)
-
-
 class TestAlgebraicDimension:
     def test_fixture_a_constant_finite(self):
         report = algebraic_dimension(pencil_a(finite_family(1, 3)))
@@ -445,6 +428,40 @@ class TestAlgebraicDimension:
             if report.verdict == VERDICT_INCONSISTENT:
                 assert pencil.n > 4
 
+    def test_theorem_on_every_small_real_cycle(self):
+        """Over n CP^2 with n > 4 a pencil is never a2, on every real cycle
+        with k <= 4 and half self-intersections in [-6, 3]."""
+        verdicts: Counter[str] = Counter()
+        for k in range(1, 5):
+            for half in itertools.product(range(-6, 4), repeat=k):
+                n = ambient_n(CycleConfig(half + half, real_k=k))
+                if n is None or n < 4:
+                    continue
+                pencil = TwistorPencil(
+                    n=n, base=CycleConfig.real(half, n), family=finite_family(1, 4)
+                )
+                if validate_pencil(pencil):
+                    continue
+                report = algebraic_dimension(pencil)
+                z = report.decomposition
+                verdicts[report.verdict] += 1
+                if report.verdict == VERDICT_A2:
+                    assert n == 4, half
+                assert (report.verdict == VERDICT_INCONSISTENT) == (
+                    n > 4 and not z.p.is_zero and z.d == 0
+                ), half
+                if report.verdict == VERDICT_INCONSISTENT:
+                    assert report.derivations
+                    for derivation in report.derivations:
+                        assert derivation.holds, half
+                        assert all(step.holds for step in derivation.steps), half
+        assert verdicts == {
+            VERDICT_A1: 1259,
+            VERDICT_A2: 4,
+            VERDICT_A3: 3172,
+            VERDICT_INCONSISTENT: 45,
+        }
+
     def test_bound_respected(self):
         levels = {"zero": 0, "one": 1, "two": 2}
         numeric = {VERDICT_A1: 1, VERDICT_A2: 2, VERDICT_A3: 3}
@@ -486,6 +503,17 @@ class TestAlgebraicDimension:
         )
         with pytest.raises(ValueError):
             algebraic_dimension(pencil)
+
+    def test_invalid_pencil_names_each_issue_on_its_own_line(self):
+        pencil = TwistorPencil(
+            n=3, base=CycleConfig.real((-1, -4), 3), family=finite_family(1, 6)
+        )
+        with pytest.raises(ValueError) as info:
+            algebraic_dimension(pencil)
+        assert str(info.value).split("\n") == [
+            "twistor pencils require n >= 4",
+            "C^2 = -2 but 8 - 2n = 2",
+        ]
 
     def test_resolution_choice_does_not_change_verdict(self):
         base = CycleConfig.real((-1, -4), 5)
