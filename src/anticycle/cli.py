@@ -309,6 +309,11 @@ def _cmd_intnums(args: argparse.Namespace) -> int:
 def _cmd_fixed(args: argparse.Namespace) -> int:
     if (args.rho is None) == (args.nu is None):
         raise ValueError("give exactly one of --rho and --nu")
+    if args.nu is not None:
+        if args.nu < 1:
+            raise ValueError(f"--nu must be at least 1, got {args.nu}")
+        if args.r < 0:
+            raise ValueError(f"--r must be at least 0 with --nu, got {args.r}")
     pencil = _load_pencil(args.file)
     report: dict[str, Any] = {"r": args.r}
     if args.nu is not None:
@@ -323,7 +328,7 @@ def _cmd_fixed(args: argparse.Namespace) -> int:
     report["rho"] = rho
     model = normalized_model(pencil, base_decomposition(pencil))
     derivation = prove_E_fixed(model, args.r, rho)
-    if args.nu is not None and derivation.holds and args.r >= 0:
+    if args.nu is not None and derivation.holds:
         # once the vertical divisor is proven fixed, |M(r, rho)| has dimension r
         report["pluri_dim"] = args.r
     report["derivations"] = [_derivation_fields(derivation)]

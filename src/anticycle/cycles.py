@@ -9,17 +9,21 @@ carry the number n of projective-plane summands of the ambient half of the
 twistor space, tied to the configuration through C^2 = 8 - 2n.
 
 The central operation is the Zariski decomposition C = P + N into a nef
-part and a negative part, computed by exact rational arithmetic and
-certified against the defining conditions.  The intersection form of a
-cycle has at most three non-zeros per row, and every proper subset of the
-components is a disjoint union of chains.  The production algorithm uses
-both facts: its products are a stencil over the self-intersections, and
-it solves a proper support run by run as tridiagonal chains, whose
-elimination pivots (Hirzebruch-Jung remainders) also certify negative
-definiteness.  A support that is the whole cycle needs no solve (N = D),
-and its definiteness is the chain of the first m - 1 components plus the
-Schur complement of the last.  A deliberately naive oracle that
-enumerates all candidate supports with the dense matrices of
+part and a negative part, computed exactly and certified against the
+defining conditions.  The intersection form of a cycle has at most three
+non-zeros per row, and every proper subset of the components is a
+disjoint union of chains.  The production algorithm uses both facts: its
+products are a stencil over the self-intersections, and it solves a
+proper support run by run as tridiagonal chains with the continuants of
+each run (fraction-free elimination; the continuants are the chain's
+leading minors, and their ratios its Hirzebruch-Jung remainders), whose
+signs also certify negative definiteness.  Its arithmetic is integer
+throughout: the divisor and the negative part are carried as integer
+vectors over one positive denominator, and ``Fraction`` appears only when
+the result is packed.  A support that is the whole cycle needs no solve
+(N = D), and its definiteness is the chain of the first m - 1 components
+plus the Schur complement of the last.  A deliberately naive oracle that
+enumerates all candidate supports with the dense ``Fraction`` matrices of
 :mod:`anticycle.qform` is kept alongside; the two share no arithmetic, so
 they can be compared on every input.
 """
@@ -29,7 +33,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .qform import (
@@ -273,7 +277,7 @@ def _decomposition(
     return ZariskiDecomposition(config, divisor, p, n_part, m0, l, d)
 
 
-def _stencil(s: Sequence[int], v: Sequence[Fraction]) -> list[Fraction]:
+def _stencil(s: Sequence[int], v: Sequence[int | Fraction]) -> list[int | Fraction]:
     """The product M@v read off the self-intersections ``s``.
 
     (Mv)_i = s_i v_i + v_{i-1} + v_{i+1}; two components meet twice, and
@@ -305,64 +309,81 @@ def _runs(support: Iterable[int], m: int) -> list[list[int]]:
     return runs
 
 
-def _pivots(s: Sequence[int], run: Sequence[int]) -> list[Fraction]:
-    """Elimination pivots of the chain of components ``run``.
+def _continuants(s: Sequence[int], run: Sequence[int]) -> list[int]:
+    """Continuants q_0, ..., q_last of the chain of components ``run``.
 
-    p_0 = s_0 and p_t = s_t - 1/p_{t-1}: the Hirzebruch-Jung remainders.
-    The chain is negative definite iff every pivot is negative.  The list
-    stops at the first zero pivot, past which elimination cannot go.
+    q_{-1} = 1, q_0 = s_0 and q_t = s_t q_{t-1} - q_{t-2}: q_t is the
+    determinant of the leading (t+1)-block of the chain, and q_t / q_{t-1}
+    its t-th elimination pivot (a Hirzebruch-Jung remainder).
     """
-    pivots = [Fraction(s[run[0]])]
+    q = [1, s[run[0]]]
     for i in run[1:]:
-        if not pivots[-1]:
-            break
-        pivots.append(s[i] - 1 / pivots[-1])
-    return pivots
+        q.append(s[i] * q[-1] - q[-2])
+    return q[1:]
 
 
 def _solve_chain(
-    s: Sequence[int], rhs: Sequence[Fraction], support: Iterable[int]
-) -> list[Fraction] | None:
-    """N on a proper support, with (M@N)_i = rhs_i for i in the support.
+    s: Sequence[int], rhs: Sequence[int], support: Iterable[int]
+) -> tuple[list[int], int] | None:
+    """Integers N over L > 0 with (M@N)_i = L rhs_i for i in the support.
 
     Each maximal run is a tridiagonal system with unit off-diagonals,
-    solved by forward elimination and back substitution.  Returns ``None``
-    when a pivot vanishes: the run is then singular or not negative
-    definite, and Bauer's growth lemma keeps every growth support negative
-    definite.
+    solved fraction-free with its continuants q_t: the forward sweep
+    R_0 = rhs_0, R_t = rhs_t q_{t-1} - R_{t-1}, then the back sweep
+    X_last = R_last, X_t = (R_t q_last - q_{t-1} X_{t+1}) / q_t, an exact
+    division, gives the run's solution X / q_last.  L is the least common
+    multiple of the runs' |q_last|.  Returns ``None`` when a continuant
+    vanishes: the run is then singular or not negative definite, and
+    Bauer's growth lemma keeps every growth support negative definite.
     """
-    coeffs = [Fraction(0)] * len(s)
+    solved = []
+    denominator = 1
     for run in _runs(support, len(s)):
-        pivots = _pivots(s, run)
-        if not pivots[-1]:
+        q = _continuants(s, run)
+        if not all(q):
             return None
         reduced = [rhs[run[0]]]
         for t in range(1, len(run)):
-            reduced.append(rhs[run[t]] - reduced[-1] / pivots[t - 1])
-        x = reduced[-1] / pivots[-1]
-        coeffs[run[-1]] = x
+            reduced.append(rhs[run[t]] * q[t - 1] - reduced[-1])
+        det = q[-1]
+        x = reduced[-1]
+        xs = [x]
         for t in range(len(run) - 2, -1, -1):
-            x = (reduced[t] - x) / pivots[t]
-            coeffs[run[t]] = x
-    return coeffs
+            x = (reduced[t] * det - (q[t - 1] if t else 1) * x) // q[t]
+            xs.append(x)
+        solved.append((run, xs, det))
+        denominator = lcm(denominator, det)
+    coeffs = [0] * len(s)
+    for run, xs, det in solved:
+        scale = denominator // det
+        for i, x in zip(reversed(run), xs):
+            coeffs[i] = x * scale
+    return coeffs, denominator
 
 
 def _negative_definite_support(config: CycleConfig, support: Sequence[int]) -> bool:
     """Whether the components ``support`` span a negative-definite configuration.
 
-    A proper support is read off its chain pivots.  The whole cycle is
-    negative definite iff the chain C_1..C_{m-1} is and the Schur
-    complement of C_m is negative (Haynsworth's inertia additivity).
+    A proper support is read off the continuants of its runs: a chain is
+    negative definite iff (-1)^{t+1} q_t > 0 for every t.  The whole cycle
+    is negative definite iff the chain C_1..C_{m-1} is and the Schur
+    complement of C_m is negative (Haynsworth's inertia additivity); with
+    the chain solved as integers X over L > 0, that is
+    last_m L - sum last_i X_i < 0.
     """
     s, m = config.self_ints, config.m
     if len(support) < m:
-        return all(p < 0 for run in _runs(support, m) for p in _pivots(s, run))
+        return all(
+            (q if t % 2 else -q) > 0
+            for run in _runs(support, m)
+            for t, q in enumerate(_continuants(s, run))
+        )
     chain = range(m - 1)
     if not _negative_definite_support(config, chain):
         return False
     last = _stencil(s, [0] * (m - 1) + [1])
-    x = _solve_chain(s, last, chain)
-    return last[-1] - sum(a * b for a, b in zip(last, x)) < 0
+    x, denominator = _solve_chain(s, last, chain)
+    return last[-1] * denominator - sum(a * b for a, b in zip(last, x)) < 0
 
 
 def zariski_decompose(config: CycleConfig, divisor=None) -> ZariskiDecomposition:
@@ -370,33 +391,40 @@ def zariski_decompose(config: CycleConfig, divisor=None) -> ZariskiDecomposition
 
     Starting from empty support, repeatedly solve for the negative part N
     on the current support S via (D - N).C_i = 0 for i in S, then grow S by
-    the least component on which D - N fails to be nef.  Products come
-    from the stencil of the self-intersections; a proper support is solved
-    run by run as tridiagonal chains, and the whole cycle as support gives
-    N = D.  No dense matrix is built.  On termination the result is
-    certified against all defining conditions: P and N effective, P nef,
-    N supported on a negative-definite configuration (read off the chain
-    pivots of supp N, plus a Schur complement when supp N is the whole
-    cycle), and P orthogonal to every component of N.
+    the least component on which D - N fails to be nef.  The loop is
+    integer throughout: D is carried as integers over ``den``, the lcm of
+    its denominators, and N as integers over L * den, where L > 0
+    (``chain_den``) comes from the continuant solve of the runs of a
+    proper support (the whole cycle as support gives N = D, L = 1).
+    Products come from the stencil of the self-intersections; no dense
+    matrix is built.  On termination the result is certified against all
+    defining conditions, read off the integer vector L * den * P and its
+    stencil: P and N effective, P nef, P orthogonal to every component of
+    N, and N supported on a negative-definite configuration (the
+    continuants of supp N, plus a Schur complement when supp N is the
+    whole cycle).  ``Fraction`` appears only when the result is packed,
+    and m0 and l fall out of L * den * P through one gcd.
     """
     divisor = _coerce_divisor(config, divisor)
     s, m = config.self_ints, config.m
-    rhs = _stencil(s, divisor.coeffs)
+    den = lcm(*(x.denominator for x in divisor.coeffs))
+    dint = [x.numerator * (den // x.denominator) for x in divisor.coeffs]
+    rhs = _stencil(s, dint)
     support: list[int] = []
-    n_coeffs: list[Fraction] = [Fraction(0)] * m
+    n_coeffs, chain_den = [0] * m, 1
     while True:
         if len(support) == m:
             # Bauer's growth lemma: the whole cycle is then negative definite,
             # so M N = M D gives N = D; the certification below checks it.
-            n_coeffs = list(divisor.coeffs)
+            n_coeffs, chain_den = dint, 1
         elif support:
             solved = _solve_chain(s, rhs, support)
             if solved is None:
                 raise CertificationError(
                     f"singular support system on components {support}"
                 )
-            n_coeffs = solved
-        p = [a - b for a, b in zip(divisor.coeffs, n_coeffs)]
+            n_coeffs, chain_den = solved
+        p = [chain_den * a - b for a, b in zip(dint, n_coeffs)]
         pdots = _stencil(s, p)
         growth = next(
             (i for i in range(m) if pdots[i] < 0 and i not in support), None
@@ -404,20 +432,32 @@ def zariski_decompose(config: CycleConfig, divisor=None) -> ZariskiDecomposition
         if growth is None:
             break
         support.append(growth)
-    n_part = QDivisor(tuple(n_coeffs))
-    if not n_part.is_effective:
+    if any(x < 0 for x in n_coeffs):
         raise CertificationError("negative part is not effective")
     if any(x < 0 for x in p):
         raise CertificationError("nef part is not effective")
     if any(x < 0 for x in pdots):
         raise CertificationError("nef condition fails: P.C_i < 0 for some i")
-    n_support = n_part.support
-    if any(pdots[i] != 0 for i in n_support):
+    n_support = [i for i, x in enumerate(n_coeffs) if x]
+    if any(pdots[i] for i in n_support):
         raise CertificationError("P does not annihilate the support of N")
     if n_support and not _negative_definite_support(config, n_support):
         raise CertificationError("support of N is not negative definite")
-    d = sum((a * b for a, b in zip(p, pdots)), Fraction(0))
-    return _decomposition(config, divisor, QDivisor(tuple(p)), n_part, d)
+    scale = chain_den * den
+    if any(p):
+        g = gcd(scale, *p)
+        m0, l = scale // g, tuple(x // g for x in p)
+    else:
+        m0, l = None, None
+    return ZariskiDecomposition(
+        config,
+        divisor,
+        QDivisor(tuple(Fraction(x, scale) for x in p)),
+        QDivisor(tuple(Fraction(x, scale) for x in n_coeffs)),
+        m0,
+        l,
+        Fraction(sum(a * b for a, b in zip(p, pdots)), scale * scale),
+    )
 
 
 def zariski_oracle(config: CycleConfig, divisor=None) -> ZariskiDecomposition:

@@ -1,4 +1,4 @@
-"""The structured decomposition core: stencil, chain solve, chain pivots.
+"""The structured decomposition core: stencil, continuants, chain solve.
 
 Inputs are drawn as values (self-intersection lists and coefficient
 lists), not as seeds, so a failure shrinks to a minimal cycle.  Arbitrary
@@ -18,15 +18,17 @@ from anticycle.birational import blow_up_node
 from anticycle.cycles import (
     CycleConfig,
     QDivisor,
+    _continuants,
     _cycle_square,
     _negative_definite_support,
+    _solve_chain,
     _stencil,
     intersection_matrix,
     riemann_roch_chi,
     zariski_decompose,
     zariski_oracle,
 )
-from anticycle.qform import NEGATIVE_DEFINITE, definiteness_by_minors
+from anticycle.qform import NEGATIVE_DEFINITE, _det, definiteness_by_minors
 
 _SELF_INTS = st.lists(st.integers(min_value=-6, max_value=3), min_size=1, max_size=9)
 
@@ -73,6 +75,53 @@ class TestChainPivots:
                 by_pivots = _negative_definite_support(config, run)
                 by_minors = definiteness_by_minors(matrix.submatrix(run)).kind
                 assert by_pivots == (by_minors == NEGATIVE_DEFINITE), run
+
+
+def _assert_solves(config, rhs, support):
+    """``_solve_chain`` gives integers N over L > 0 with (M@N)_i = L rhs_i on the support."""
+    n, denominator = _solve_chain(config.self_ints, rhs, support)
+    assert all(type(x) is int for x in n) and type(denominator) is int
+    assert denominator > 0
+    product = intersection_matrix(config).apply(n)
+    assert all(product[i] == denominator * rhs[i] for i in support), support
+    assert all(n[i] == 0 for i in range(config.m) if i not in support), support
+
+
+_RUN_SELF_INTS = st.lists(st.integers(min_value=-6, max_value=3), min_size=1, max_size=10)
+
+
+class TestContinuants:
+    @settings(max_examples=100, deadline=None)
+    @given(_RUN_SELF_INTS, st.data())
+    def test_every_proper_run(self, s, data):
+        config = CycleConfig.plain(s)
+        matrix = intersection_matrix(config)
+        m = config.m
+        rhs = data.draw(st.lists(st.integers(-20, 20), min_size=m, max_size=m))
+        for start in range(m):
+            longest = [(start + t) % m for t in range(m - 1)]
+            leading = [_det(matrix.submatrix(longest[: t + 1])) for t in range(m - 1)]
+            for length in range(1, m):
+                run = longest[:length]
+                q = _continuants(config.self_ints, run)
+                assert q == leading[:length], run
+                if all(q):
+                    _assert_solves(config, rhs, run)
+                else:
+                    assert _solve_chain(config.self_ints, rhs, run) is None
+
+    @settings(max_examples=100, deadline=None)
+    @given(_RUN_SELF_INTS, st.data())
+    def test_proper_supports_of_several_runs(self, s, data):
+        config = CycleConfig.plain(s)
+        m = config.m
+        rhs = data.draw(st.lists(st.integers(-20, 20), min_size=m, max_size=m))
+        support = data.draw(st.sets(st.integers(0, m - 1), max_size=m - 1))
+        dets = [_continuants(config.self_ints, run) for run in cycles._runs(support, m)]
+        if all(all(q) for q in dets):
+            _assert_solves(config, rhs, sorted(support))
+        else:
+            assert _solve_chain(config.self_ints, rhs, support) is None
 
 
 class TestAgainstOracle:

@@ -258,6 +258,24 @@ class TestModelCommands:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("--nu", "0"), "invalid: --nu must be at least 1, got 0\n"),
+            (("--nu", "-1"), "invalid: --nu must be at least 1, got -1\n"),
+            (
+                ("--nu", "1", "--r", "-1"),
+                "invalid: --r must be at least 0 with --nu, got -1\n",
+            ),
+        ],
+    )
+    def test_fixed_nu_rejects_out_of_range(self, argv, message, capsys):
+        code, out = run_cli(
+            capsys, "fixed", "--file", fixture_path("fixtureC-constfinite.cfg"), *argv
+        )
+        assert code == 2
+        assert out == message
+
     def test_fixed_exactly_one_mode(self, capsys):
         code, out = run_cli(
             capsys,
@@ -496,13 +514,24 @@ class TestUncertified:
     )
     def test_wrong_chain_solve_exits_four(self, command, name, monkeypatch, capsys):
         def wrong(s, rhs, support):
-            return [F(-1)] * len(s)
+            return [-1] * len(s), 1
 
         monkeypatch.setattr(cycles, "_solve_chain", wrong)
         code = cli.run([*command, "--file", fixture_path(name)])
         captured = capsys.readouterr()
         assert code == cli.EXIT_UNCERTIFIED == 4
         assert captured.out == "error: negative part is not effective\n"
+        assert "Traceback" not in captured.err
+
+    def test_indefinite_support_exits_four(self, monkeypatch, capsys):
+        def indefinite(config, support):
+            return False
+
+        monkeypatch.setattr(cycles, "_negative_definite_support", indefinite)
+        code = cli.run(["zariski", "--file", fixture_path("fixtureC.cfg")])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_UNCERTIFIED == 4
+        assert captured.out == "error: support of N is not negative definite\n"
         assert "Traceback" not in captured.err
 
 
