@@ -155,22 +155,21 @@ def blow_down(
     m = config.m
     if not 0 <= component < m:
         raise SurgeryInputError(f"component index {component} out of range for m={m}")
-    if config.is_real and not drop_reality:
-        k = config.real_k
-        assert k is not None
-        if k == 1:
-            raise SurgeryInputError(
-                "contracting a conjugate pair would empty the 2-cycle; "
-                "drop reality to contract a single component"
-            )
-        conj = config.conjugate_index(component)
-        first, second = max(component, conj), min(component, conj)
-        selfs = _contract_once(list(config.self_ints), first)
-        selfs = _contract_once(selfs, second)
+    real = config.is_real and not drop_reality
+    if real and config.real_k == 1:
+        raise SurgeryInputError(
+            "contracting a conjugate pair would empty the 2-cycle; "
+            "drop reality to contract a single component"
+        )
+    points = sorted({component, config.conjugate_index(component)}) if real else [component]
+    selfs = list(config.self_ints)
+    # the higher index first, so the lower one keeps its index
+    for c in reversed(points):
+        selfs = _contract_once(selfs, c)
+    if real:
         new_n = config.n - 1 if config.n is not None else None
-        result = CycleConfig(tuple(selfs), real_k=k - 1, n=new_n)
+        result = CycleConfig(tuple(selfs), real_k=config.real_k - 1, n=new_n)
     else:
-        selfs = _contract_once(list(config.self_ints), component)
         result = CycleConfig(tuple(selfs))
     return SurgeryResult(result, (SurgeryStep("blow_down", component),))
 

@@ -4,8 +4,9 @@ Single-shot subcommands over config files; every report is printed to
 standard output either as flattened ``key: value`` lines or, with
 ``--json``, as a JSON document carrying the same values.
 
-Exit codes, all set in :func:`run`, the one place where an exception
-becomes an exit code:
+Each subcommand returns its report, and :func:`run` renders it and sets
+every exit code: from the report's verdict, or from the exception that
+ended the subcommand.  The codes are:
 
 - 0 success;
 - 1 the algorithm and the oracle disagree (``oracle-check``);
@@ -48,7 +49,7 @@ from .birational import (
     blow_up_smooth,
     contract_to_nef_model,
 )
-from .pic0 import CONSTANT_FINITE, CONSTANT_INFINITE, family_profile
+from .pic0 import CONSTANT_FINITE, family_profile
 from .twistor import (
     Derivation,
     InvariantViolation,
@@ -72,6 +73,10 @@ EXIT_UNCERTIFIED = 4
 
 class _CommandError(Exception):
     """A file that cannot be read or parsed; the message is printed as it stands."""
+
+
+class _Disagreement(Exception):
+    """The algorithm and the oracle disagree; the message is printed as it stands."""
 
 
 # ---------------------------------------------------------------------------
@@ -181,24 +186,13 @@ def _load_decomposition(path: str) -> tuple[ZariskiDecomposition, str]:
     """The decomposition of the file's cycle and its anti-Kodaira class."""
     data = _load_data(path)
     z = zariski_decompose(_built(data, config_io.build_cycle, validate))
-    return z, classify_kodaira(z, _order_info(data))
+    return z, classify_kodaira(z, data.family)
 
 
 def _load_pencil(path: str) -> TwistorPencil:
     """The file's pencil, validated; a missing family reads as nonconstant."""
     build = functools.partial(config_io.build_pencil, default_family=True)
     return _built(_load_data(path), build, validate_pencil)
-
-
-def _order_info(data: config_io.ConfigData) -> int | str | None:
-    if data.family is None:
-        return None
-    profile = family_profile(data.family)
-    if profile.kind == CONSTANT_FINITE:
-        return profile.tau
-    if profile.kind == CONSTANT_INFINITE:
-        return "infinite"
-    return None
 
 
 def _component_index(config: CycleConfig, one_based: int, what: str) -> int:
@@ -208,22 +202,20 @@ def _component_index(config: CycleConfig, one_based: int, what: str) -> int:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns its report, which :func:`run` renders
 
 
-def _cmd_zariski(args: argparse.Namespace) -> int:
+def _cmd_zariski(args: argparse.Namespace) -> dict[str, Any]:
     z, kodaira = _load_decomposition(args.file)
-    _emit({**_decomposition_fields(z), "kodaira": kodaira}, args.json)
-    return EXIT_OK
+    return {**_decomposition_fields(z), "kodaira": kodaira}
 
 
-def _cmd_classify(args: argparse.Namespace) -> int:
+def _cmd_classify(args: argparse.Namespace) -> dict[str, Any]:
     z, kodaira = _load_decomposition(args.file)
-    _emit({"kodaira": kodaira, "d": str(z.d)}, args.json)
-    return EXIT_OK
+    return {"kodaira": kodaira, "d": str(z.d)}
 
 
-def _cmd_blowup(args: argparse.Namespace) -> int:
+def _cmd_blowup(args: argparse.Namespace) -> dict[str, Any]:
     config = _load_cycle(args.file)
     if args.smooth == (args.node is not None):
         raise ValueError("give either --node I, or --component I with --smooth")
@@ -241,40 +233,35 @@ def _cmd_blowup(args: argparse.Namespace) -> int:
     report["transported_l"] = (
         list(result.transported_l) if result.transported_l is not None else None
     )
-    _emit(report, args.json)
-    return EXIT_OK
+    return report
 
 
-def _cmd_blowdown(args: argparse.Namespace) -> int:
+def _cmd_blowdown(args: argparse.Namespace) -> dict[str, Any]:
     config = _load_cycle(args.file)
     index = _component_index(config, args.component, "component")
     result = blow_down(config, index, drop_reality=args.drop_reality)
-    _emit({"result": _config_fields(result.config)}, args.json)
-    return EXIT_OK
+    return {"result": _config_fields(result.config)}
 
 
-def _cmd_contract(args: argparse.Namespace) -> int:
+def _cmd_contract(args: argparse.Namespace) -> dict[str, Any]:
     config = _load_cycle(args.file)
     outcome = contract_to_nef_model(config)
     if outcome is None:
-        _emit({"found": False, "result": None, "steps": []}, args.json)
-        return EXIT_OK
+        return {"found": False, "result": None, "steps": []}
     final, steps = outcome
-    report = {
+    return {
         "found": True,
         "result": _config_fields(final),
         "steps": [
             {"kind": s.kind, "component": s.index + 1} for s in steps
         ],
     }
-    _emit(report, args.json)
-    return EXIT_OK
 
 
-def _cmd_fibers(args: argparse.Namespace) -> int:
+def _cmd_fibers(args: argparse.Namespace) -> dict[str, Any]:
     pencil = _load_pencil(args.file)
     descriptors = reducible_fibers(pencil)
-    report = {
+    return {
         "fibers": [
             {
                 "index": f.index,
@@ -288,25 +275,21 @@ def _cmd_fibers(args: argparse.Namespace) -> int:
             for f in descriptors
         ]
     }
-    _emit(report, args.json)
-    return EXIT_OK
 
 
-def _cmd_intnums(args: argparse.Namespace) -> int:
+def _cmd_intnums(args: argparse.Namespace) -> dict[str, Any]:
     pencil = _load_pencil(args.file)
     model = normalized_model(pencil, base_decomposition(pencil))
     values = m_class_intersections(model, args.r, args.rho)
-    report = {
+    return {
         "r": args.r,
         "rho": args.rho,
         "l": list(model.l),
         "intersections": {name: values[name] for name in model.cycle_order},
     }
-    _emit(report, args.json)
-    return EXIT_OK
 
 
-def _cmd_fixed(args: argparse.Namespace) -> int:
+def _cmd_fixed(args: argparse.Namespace) -> dict[str, Any]:
     if (args.rho is None) == (args.nu is None):
         raise ValueError("give exactly one of --rho and --nu")
     if args.nu is not None:
@@ -332,11 +315,10 @@ def _cmd_fixed(args: argparse.Namespace) -> int:
         # once the vertical divisor is proven fixed, |M(r, rho)| has dimension r
         report["pluri_dim"] = args.r
     report["derivations"] = [_derivation_fields(derivation)]
-    _emit(report, args.json)
-    return EXIT_OK
+    return report
 
 
-def _cmd_adim(args: argparse.Namespace) -> int:
+def _cmd_adim(args: argparse.Namespace) -> dict[str, Any]:
     result = algebraic_dimension(config_io.build_pencil(_load_data(args.file)))
     report: dict[str, Any] = {"verdict": result.verdict}
     if result.decomposition is not None:
@@ -344,11 +326,10 @@ def _cmd_adim(args: argparse.Namespace) -> int:
     report["kodaira"] = result.generic_kodaira
     report["justification"] = list(result.justification)
     report["derivations"] = [_derivation_fields(d) for d in result.derivations]
-    _emit(report, args.json)
-    return EXIT_INCONSISTENT if result.verdict == VERDICT_INCONSISTENT else EXIT_OK
+    return report
 
 
-def _cmd_oracle_check(args: argparse.Namespace) -> int:
+def _cmd_oracle_check(args: argparse.Namespace) -> dict[str, Any]:
     if args.count < 1:
         raise ValueError(f"--count must be at least 1, got {args.count}")
     configs: list[CycleConfig]
@@ -363,13 +344,12 @@ def _cmd_oracle_check(args: argparse.Namespace) -> int:
         fast = zariski_decompose(config)
         slow = zariski_oracle(config)
         if fast.p != slow.p or fast.n_part != slow.n_part:
-            print(f"disagreement on selfints = {list(config.self_ints)}")
-            return EXIT_DISAGREEMENT
-    _emit({"checked": len(configs), "agreements": len(configs)}, args.json)
-    return EXIT_OK
+            raise _Disagreement(f"disagreement on selfints = {list(config.self_ints)}")
+    return {"checked": len(configs), "agreements": len(configs)}
 
 
-def _cmd_fixtures(args: argparse.Namespace) -> int:
+def _cmd_fixtures(args: argparse.Namespace) -> None:
+    """Prints the generated config files itself: they are not a report."""
     if args.count < 1:
         raise ValueError(f"--count must be at least 1, got {args.count}")
     batch = config_io.generate_fixtures(args.seed, args.count)
@@ -377,7 +357,6 @@ def _cmd_fixtures(args: argparse.Namespace) -> int:
         print(f"# fixture {index} of {args.count}, seed {args.seed}")
         sys.stdout.write(config_io.render_config(data))
         print()
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +430,10 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        report = args.fn(args)
+    except _Disagreement as exc:
+        print(str(exc))
+        return EXIT_DISAGREEMENT
     except _CommandError as exc:
         print(str(exc))
         return EXIT_INVALID
@@ -462,6 +444,12 @@ def run(argv: Sequence[str] | None = None) -> int:
     except CertificationError as exc:
         print(f"error: {exc}")
         return EXIT_UNCERTIFIED
+    if report is None:
+        return EXIT_OK
+    _emit(report, args.json)
+    if report.get("verdict") == VERDICT_INCONSISTENT:
+        return EXIT_INCONSISTENT
+    return EXIT_OK
 
 
 def main() -> None:

@@ -36,6 +36,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
+from .pic0 import CONSTANT_FINITE, CONSTANT_INFINITE, PicZeroFamily, family_profile
 from .qform import (
     NEGATIVE_DEFINITE,
     SymMatrix,
@@ -47,8 +48,6 @@ KODAIRA_ZERO = "zero"
 KODAIRA_ONE = "one"
 KODAIRA_TWO = "two"
 KODAIRA_NEEDS_ORDER = "needs_order"
-
-ORDER_INFINITE = "infinite"
 
 #: Enumerating 2^m supports is only reasonable for small cycles.
 ORACLE_MAX_COMPONENTS = 12
@@ -262,18 +261,12 @@ def _finish(
         raise CertificationError("P does not annihilate the support of N")
     if support and definiteness(matrix.submatrix(support)).kind != NEGATIVE_DEFINITE:
         raise CertificationError("support of N is not negative definite")
-    return _decomposition(config, divisor, p, n_part, matrix.pair(p.coeffs, p.coeffs))
-
-
-def _decomposition(
-    config: CycleConfig, divisor: QDivisor, p: QDivisor, n_part: QDivisor, d: Fraction
-) -> ZariskiDecomposition:
-    """Package a certified decomposition with m0 and l."""
     if p.is_zero:
         m0, l = None, None
     else:
         m0 = lcm(*(x.denominator for x in p.coeffs))
         l = tuple(int(x * m0) for x in p.coeffs)
+    d = matrix.pair(p.coeffs, p.coeffs)
     return ZariskiDecomposition(config, divisor, p, n_part, m0, l, d)
 
 
@@ -496,29 +489,28 @@ def zariski_oracle(config: CycleConfig, divisor=None) -> ZariskiDecomposition:
 
 
 def classify_kodaira(
-    z: ZariskiDecomposition, order_info: int | str | None = None
+    z: ZariskiDecomposition, family: PicZeroFamily | None = None
 ) -> str:
     """Anti-Kodaira classification of the surface carrying the cycle of ``z``.
 
-    ``z`` is the cycle's Zariski decomposition.  ``order_info`` refines the
-    boundary case P != 0, P^2 = 0: pass a positive integer for a finite
-    normal-bundle order (dimension one), the string ``"infinite"`` for
-    infinite order (dimension zero), or ``None`` when the order is unknown
-    (classification deferred).
+    ``z`` is the cycle's Zariski decomposition and ``family`` the
+    restriction family of the normal bundle, profiled with
+    :func:`~anticycle.pic0.family_profile` (which rejects an inconsistent
+    family).  The family refines the boundary case P != 0, P^2 = 0: a
+    constant family of finite order gives dimension one, one of infinite
+    order dimension zero, and a nonconstant family or none defers the
+    classification.
     """
-    if order_info is not None:
-        if isinstance(order_info, str):
-            if order_info != ORDER_INFINITE:
-                raise ValueError(f"unknown order marker {order_info!r}")
-        elif order_info < 1:
-            raise ValueError("finite order must be a positive integer")
+    kind = family_profile(family).kind if family is not None else None
     if z.p.is_zero:
         return KODAIRA_ZERO
     if z.d > 0:
         return KODAIRA_TWO
-    if order_info is None:
-        return KODAIRA_NEEDS_ORDER
-    return KODAIRA_ZERO if order_info == ORDER_INFINITE else KODAIRA_ONE
+    if kind == CONSTANT_FINITE:
+        return KODAIRA_ONE
+    if kind == CONSTANT_INFINITE:
+        return KODAIRA_ZERO
+    return KODAIRA_NEEDS_ORDER
 
 
 def riemann_roch_chi(config: CycleConfig, divisor) -> int:

@@ -17,6 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cycles import (
+    KODAIRA_ONE,
+    KODAIRA_TWO,
+    KODAIRA_ZERO,
     CycleConfig,
     QDivisor,
     ZariskiDecomposition,
@@ -36,6 +39,15 @@ VERDICT_A1 = "a1"
 VERDICT_A2 = "a2"
 VERDICT_A3 = "a3"
 VERDICT_INCONSISTENT = "inconsistent"
+
+#: The generic member's anti-Kodaira class behind each verdict: a = 1 + kappa,
+#: and an inconsistent pencil's members are elliptically fibered (kappa = 1).
+_KODAIRA_OF_VERDICT = {
+    VERDICT_A1: KODAIRA_ZERO,
+    VERDICT_A2: KODAIRA_ONE,
+    VERDICT_A3: KODAIRA_TWO,
+    VERDICT_INCONSISTENT: KODAIRA_ONE,
+}
 
 
 class InvariantViolation(Exception):
@@ -95,8 +107,6 @@ class ResolvedModel:
     """
 
     base: CycleConfig
-    k: int
-    m0: int
     l: tuple[int, ...]
     cycle_order: tuple[str, ...]
     reducible_divisor: str
@@ -129,10 +139,14 @@ class AdimReport:
     """Verdict on the algebraic dimension with its supporting data."""
 
     verdict: str
-    generic_kodaira: str
     justification: tuple[str, ...]
     decomposition: ZariskiDecomposition | None = None
     derivations: tuple[Derivation, ...] = ()
+
+    @property
+    def generic_kodaira(self) -> str:
+        """The generic member's anti-Kodaira class, read off the verdict."""
+        return _KODAIRA_OF_VERDICT[self.verdict]
 
 
 def _component_name(index: int, k: int) -> str:
@@ -320,7 +334,7 @@ def _resolved_model(pencil: TwistorPencil, z: ZariskiDecomposition) -> ResolvedM
     k = config.real_k
     if k is None or k < 2:
         raise ValueError("resolved model requires a real base with k >= 2")
-    if z.l is None or z.m0 is None or z.d != 0:
+    if z.l is None or z.d != 0:
         raise ValueError("resolved model requires P != 0 with P^2 = 0")
     if z.l[:k] != z.l[k:]:
         raise InvariantViolation("nef coefficients are not conjugation-symmetric")
@@ -345,8 +359,6 @@ def _resolved_model(pencil: TwistorPencil, z: ZariskiDecomposition) -> ResolvedM
                 fibers.append((_divisor(j, conj), (_curve(j, conj),)))
     return ResolvedModel(
         base=config,
-        k=k,
-        m0=z.m0,
         l=z.l,
         cycle_order=tuple(cycle_order),
         reducible_divisor=_divisor(reducible),
@@ -480,7 +492,6 @@ def algebraic_dimension(pencil: TwistorPencil) -> AdimReport:
     if z.p.is_zero:
         return AdimReport(
             verdict=VERDICT_A1,
-            generic_kodaira="zero",
             justification=(
                 "the cycle spans a negative-definite configuration, so the "
                 "nef part of every member's anti-canonical class vanishes",
@@ -492,7 +503,6 @@ def algebraic_dimension(pencil: TwistorPencil) -> AdimReport:
     if z.d > 0:
         return AdimReport(
             verdict=VERDICT_A3,
-            generic_kodaira="two",
             justification=(
                 f"the nef part has positive degree d = {z.d}, so members "
                 "carry big anti-canonical systems",
@@ -501,17 +511,11 @@ def algebraic_dimension(pencil: TwistorPencil) -> AdimReport:
             ),
             decomposition=z,
         )
-    k = z.config.real_k or 0
-    if pencil.n > 4 and k < 2:
-        raise InvariantViolation(
-            "n > 4 with a non-vanishing square-zero nef part forces k >= 2"
-        )
     profile = family_profile(pencil.family)
     if profile.kind == CONSTANT_FINITE and pencil.n == 4:
         assert profile.tau is not None
         return AdimReport(
             verdict=VERDICT_A2,
-            generic_kodaira="one",
             justification=(
                 f"the restriction family is constant of finite order "
                 f"{profile.tau}, so every member carries an elliptic "
@@ -527,7 +531,6 @@ def algebraic_dimension(pencil: TwistorPencil) -> AdimReport:
         derivation_b = _fixed_component_derivation(pencil, z, profile.tau)
         return AdimReport(
             verdict=VERDICT_INCONSISTENT,
-            generic_kodaira="one",
             justification=(
                 "two sound derivations force contradictory algebraic "
                 "dimensions 2 and 1",
@@ -544,7 +547,6 @@ def algebraic_dimension(pencil: TwistorPencil) -> AdimReport:
     )
     return AdimReport(
         verdict=VERDICT_A1,
-        generic_kodaira="zero",
         justification=(
             reason,
             "generic pluri-anti-canonical systems are zero-dimensional: "
@@ -560,7 +562,6 @@ def _elliptic_verdict(pencil: TwistorPencil) -> AdimReport:
     if pencil.n > 4:
         return AdimReport(
             verdict=VERDICT_A1,
-            generic_kodaira="zero",
             justification=(
                 f"the smooth anti-canonical curve has self-intersection "
                 f"{8 - 2 * pencil.n} < 0",
@@ -572,7 +573,6 @@ def _elliptic_verdict(pencil: TwistorPencil) -> AdimReport:
     if tau is not None:
         return AdimReport(
             verdict=VERDICT_A2,
-            generic_kodaira="one",
             justification=(
                 f"the normal bundle of the elliptic base is torsion of "
                 f"order {tau}",
@@ -582,7 +582,6 @@ def _elliptic_verdict(pencil: TwistorPencil) -> AdimReport:
         )
     return AdimReport(
         verdict=VERDICT_A1,
-        generic_kodaira="zero",
         justification=(
             "the normal bundle of the elliptic base has infinite order",
             "generic pluri-anti-canonical systems are zero-dimensional: "

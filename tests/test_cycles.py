@@ -19,6 +19,7 @@ from anticycle.cycles import (
     zariski_decompose,
     zariski_oracle,
 )
+from anticycle.pic0 import PicZeroElement, PicZeroFamily
 from anticycle.qform import NEGATIVE_DEFINITE, NEGATIVE_SEMIDEFINITE, definiteness
 
 from conftest import seeded_corpus
@@ -197,13 +198,19 @@ class TestClassify:
         assert classify_kodaira(zariski_decompose(cycle_e), None) == "two"
 
     def test_one_for_finite_order(self, cycle_c):
-        assert classify_kodaira(zariski_decompose(cycle_c), 6) == "one"
+        family = PicZeroFamily.constant(PicZeroElement.unity_root(F(1, 6)))
+        assert classify_kodaira(zariski_decompose(cycle_c), family) == "one"
 
     def test_zero_for_infinite_order(self, cycle_c):
-        assert classify_kodaira(zariski_decompose(cycle_c), "infinite") == "zero"
+        family = PicZeroFamily.constant(PicZeroElement(F(2), F(0)))
+        assert classify_kodaira(zariski_decompose(cycle_c), family) == "zero"
 
     def test_needs_order_without_info(self, cycle_c):
         assert classify_kodaira(zariski_decompose(cycle_c), None) == "needs_order"
+
+    def test_needs_order_for_nonconstant_family(self, cycle_c):
+        family = PicZeroFamily.nonconstant()
+        assert classify_kodaira(zariski_decompose(cycle_c), family) == "needs_order"
 
 
 class TestRiemannRoch:

@@ -9,9 +9,12 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from anticycle.cycles import CycleConfig, ambient_n, zariski_decompose
-from anticycle.config_io import random_small_config
+from anticycle.birational import blow_up_smooth
+from anticycle.cycles import CycleConfig, ambient_n, zariski_decompose, zariski_oracle
+from anticycle.config_io import random_cycle_walk, random_small_config
 from anticycle.pic0 import PicZeroElement, PicZeroFamily
 from anticycle.twistor import (
     EllipticBase,
@@ -38,6 +41,14 @@ F = Fraction
 
 def finite_family(p: int, q: int) -> PicZeroFamily:
     return PicZeroFamily.constant(PicZeroElement.unity_root(F(p, q)))
+
+
+#: One family of each kind: constant finite, constant infinite, nonconstant.
+FAMILIES = (
+    finite_family(1, 6),
+    PicZeroFamily.constant(PicZeroElement(F(2), F(0))),
+    PicZeroFamily.nonconstant(),
+)
 
 
 def pencil_c(family: PicZeroFamily | None = None) -> TwistorPencil:
@@ -515,6 +526,21 @@ class TestAlgebraicDimension:
             "C^2 = -2 but 8 - 2n = 2",
         ]
 
+    def test_square_zero_nef_part_on_two_cycle_only_over_four_planes(self):
+        """A real 2-cycle (s, s) has C^2 = 2s + 4, so n = 2 - s: P = 0 below
+        s = -2 and d > 0 above it, so P != 0 with P^2 = 0 needs n = 4."""
+        for s in range(-12, 4):
+            z = zariski_decompose(CycleConfig.real((s,), 2 - s))
+            assert z.p.is_zero == (s < -2), s
+            assert (z.d > 0) == (s > -2), s
+            if s <= -2:
+                for family in FAMILIES:
+                    pencil = TwistorPencil(2 - s, z.config, family)
+                    assert validate_pencil(pencil) == [], s
+                    torsion = s == -2 and family is FAMILIES[0]
+                    expected = VERDICT_A2 if torsion else VERDICT_A1
+                    assert algebraic_dimension(pencil).verdict == expected, s
+
     def test_resolution_choice_does_not_change_verdict(self):
         base = CycleConfig.real((-1, -4), 5)
         fam = finite_family(1, 6)
@@ -523,3 +549,39 @@ class TestAlgebraicDimension:
             pencil = TwistorPencil(n=5, base=base, family=fam, resolution=bits)
             verdicts.add(algebraic_dimension(pencil).verdict)
         assert verdicts == {VERDICT_INCONSISTENT}
+
+
+@st.composite
+def _real_cycles_with_vanishing_nef_part(draw) -> CycleConfig:
+    """A real node walk, then smooth blow-ups of conjugate pairs (drawn
+    first, then cycling through the components) until the nef part vanishes.
+
+    Every smooth blow-up lowers two self-intersections, so the cycle ends
+    diagonally dominant and negative definite if not sooner.
+    """
+    rng = random.Random(draw(st.integers(min_value=0, max_value=100_000)))
+    config = random_cycle_walk(rng, real=True, blowups=draw(st.integers(0, 3)))
+    components = draw(st.lists(st.integers(0, config.m - 1), max_size=6))
+    for c in components:
+        config = blow_up_smooth(config, c).config
+    step = 0
+    while not zariski_decompose(config).p.is_zero:
+        config = blow_up_smooth(config, step % config.m).config
+        step += 1
+    return config
+
+
+class TestVanishingNefPart:
+    @settings(max_examples=40, deadline=None)
+    @given(_real_cycles_with_vanishing_nef_part())
+    def test_oracle_agrees_and_every_pencil_is_a1(self, config):
+        fast = zariski_decompose(config)
+        slow = zariski_oracle(config)
+        assert config.is_real and fast.p.is_zero
+        assert (fast.p, fast.n_part) == (slow.p, slow.n_part)
+        k = config.real_k
+        bits = [None, *itertools.product((0, 1), repeat=k)]
+        for family, resolution in itertools.product(FAMILIES, bits):
+            pencil = TwistorPencil(config.n, config, family, resolution)
+            assert validate_pencil(pencil) == []
+            assert algebraic_dimension(pencil).verdict == VERDICT_A1
