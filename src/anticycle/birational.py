@@ -44,7 +44,7 @@ class SurgeryStep:
 
 @dataclass(frozen=True)
 class SurgeryResult:
-    """Outcome of a surgery call.
+    """The cycle a surgery produced, with what the surgery carried over.
 
     ``transported_l`` is only set by node blow-ups on inputs with P != 0,
     P^2 = 0; ``inserted`` gives the indices of the new components in the
@@ -52,9 +52,31 @@ class SurgeryResult:
     """
 
     config: CycleConfig
-    steps: tuple[SurgeryStep, ...]
     transported_l: tuple[int, ...] | None = None
     inserted: tuple[int, ...] = ()
+
+
+def _targets(
+    config: CycleConfig, index: int, drop_reality: bool, what: str
+) -> tuple[bool, list[int]]:
+    """Whether the surgery keeps reality, and the sorted indices it acts on:
+    ``index`` and its conjugate on a real cycle, ``index`` alone otherwise."""
+    m = config.m
+    if not 0 <= index < m:
+        raise SurgeryInputError(f"{what} index {index} out of range for m={m}")
+    real = config.is_real and not drop_reality
+    return real, sorted({index, config.conjugate_index(index)}) if real else [index]
+
+
+def _rebuilt(
+    config: CycleConfig, selfs: list[int], real: bool, dk: int, dn: int
+) -> CycleConfig:
+    """The surgery's result: a real cycle with k and n shifted by dk and dn,
+    or a plain cycle."""
+    if not real:
+        return CycleConfig(tuple(selfs))
+    n = config.n + dn if config.n is not None else None
+    return CycleConfig(tuple(selfs), real_k=config.real_k + dk, n=n)
 
 
 def _blow_up_one_node(selfs: list[int], l: list[int] | None, node: int) -> None:
@@ -83,47 +105,28 @@ def blow_up_node(
     the single node joins the component to itself: the strict transform
     loses 4 (the node is a double point) and the result is a 2-cycle.
     """
-    m = config.m
-    if not 0 <= node < m:
-        raise SurgeryInputError(f"node index {node} out of range for m={m}")
+    real, nodes = _targets(config, node, drop_reality, "node")
     z = zariski_decompose(config)
     # the coefficient list m0*P to transport, when P != 0 and P^2 = 0
     l_out = list(z.l) if z.l is not None and z.d == 0 else None
-    real = config.is_real and not drop_reality
-    nodes = sorted({node, config.conjugate_index(node)}) if real else [node]
     selfs = list(config.self_ints)
     # the higher node first, so the lower node keeps its index
     for nd in reversed(nodes):
         _blow_up_one_node(selfs, l_out, nd)
     inserted = tuple(nd + 1 + t for t, nd in enumerate(nodes))
-    if real:
-        new_n = config.n + 1 if config.n is not None else None
-        result = CycleConfig(tuple(selfs), real_k=config.real_k + 1, n=new_n)
-    else:
-        result = CycleConfig(tuple(selfs))
-    step = SurgeryStep("blow_up_node", node)
     transported = tuple(l_out) if l_out is not None else None
-    return SurgeryResult(result, (step,), transported, inserted)
+    return SurgeryResult(_rebuilt(config, selfs, real, 1, 1), transported, inserted)
 
 
 def blow_up_smooth(
     config: CycleConfig, component: int, *, drop_reality: bool = False
 ) -> SurgeryResult:
     """Blow up a smooth point of the given component (conjugate pair if real)."""
-    m = config.m
-    if not 0 <= component < m:
-        raise SurgeryInputError(f"component index {component} out of range for m={m}")
-    real = config.is_real and not drop_reality
-    points = sorted({component, config.conjugate_index(component)}) if real else [component]
+    real, points = _targets(config, component, drop_reality, "component")
     selfs = list(config.self_ints)
     for c in points:
         selfs[c] -= 1
-    if real:
-        new_n = config.n + 1 if config.n is not None else None
-        result = CycleConfig(tuple(selfs), real_k=config.real_k, n=new_n)
-    else:
-        result = CycleConfig(tuple(selfs))
-    return SurgeryResult(result, (SurgeryStep("blow_up_smooth", component),))
+    return SurgeryResult(_rebuilt(config, selfs, real, 0, 1))
 
 
 def _contract_once(selfs: list[int], component: int) -> list[int]:
@@ -152,26 +155,17 @@ def blow_down(
     gains four (the two intersection points with the contracted curve merge
     into the node).
     """
-    m = config.m
-    if not 0 <= component < m:
-        raise SurgeryInputError(f"component index {component} out of range for m={m}")
-    real = config.is_real and not drop_reality
+    real, points = _targets(config, component, drop_reality, "component")
     if real and config.real_k == 1:
         raise SurgeryInputError(
             "contracting a conjugate pair would empty the 2-cycle; "
             "drop reality to contract a single component"
         )
-    points = sorted({component, config.conjugate_index(component)}) if real else [component]
     selfs = list(config.self_ints)
     # the higher index first, so the lower one keeps its index
     for c in reversed(points):
         selfs = _contract_once(selfs, c)
-    if real:
-        new_n = config.n - 1 if config.n is not None else None
-        result = CycleConfig(tuple(selfs), real_k=config.real_k - 1, n=new_n)
-    else:
-        result = CycleConfig(tuple(selfs))
-    return SurgeryResult(result, (SurgeryStep("blow_down", component),))
+    return SurgeryResult(_rebuilt(config, selfs, real, -1, -1))
 
 
 def contract_to_nef_model(
@@ -198,6 +192,6 @@ def contract_to_nef_model(
             result = blow_down(z.config, target)
         except SurgeryInputError:
             return None
-        steps.extend(result.steps)
+        steps.append(SurgeryStep("blow_down", target))
         z = zariski_decompose(result.config)
     return z.config, tuple(steps)

@@ -12,9 +12,9 @@ ended the subcommand.  The codes are:
 - 1 the algorithm and the oracle disagree (``oracle-check``);
 - 2 bad input: a file that cannot be read (``cannot read``) or parsed
   (``parse error:``), or an argument check, a validation or a
-  ``ValueError``, ``InvariantViolation`` or ``OracleError`` from the
-  library, printed as one ``invalid:`` line per line of its message (a
-  validation message has one line per problem);
+  ``ValueError`` (``InvariantViolation`` among them) or ``OracleError``
+  from the library, printed as one ``invalid:`` line per line of its
+  message (a validation message has one line per problem);
 - 3 an inconsistent verdict (two sound derivations collide, so the
   configuration is unrealizable);
 - 4 a computed Zariski decomposition failed its certification
@@ -52,11 +52,11 @@ from .birational import (
 from .pic0 import CONSTANT_FINITE, family_profile
 from .twistor import (
     Derivation,
-    InvariantViolation,
     TwistorPencil,
     VERDICT_INCONSISTENT,
     algebraic_dimension,
     base_decomposition,
+    build_resolved_model,
     m_class_intersections,
     normalized_model,
     prove_E_fixed,
@@ -278,8 +278,8 @@ def _cmd_fibers(args: argparse.Namespace) -> dict[str, Any]:
 
 
 def _cmd_intnums(args: argparse.Namespace) -> dict[str, Any]:
-    pencil = _load_pencil(args.file)
-    model = normalized_model(pencil, base_decomposition(pencil))
+    pencil = config_io.build_pencil(_load_data(args.file), default_family=True)
+    model = build_resolved_model(pencil)
     values = m_class_intersections(model, args.r, args.rho)
     return {
         "r": args.r,
@@ -437,7 +437,7 @@ def run(argv: Sequence[str] | None = None) -> int:
     except _CommandError as exc:
         print(str(exc))
         return EXIT_INVALID
-    except (ValueError, InvariantViolation, OracleError) as exc:
+    except (ValueError, OracleError) as exc:
         for line in str(exc).split("\n"):
             print(f"invalid: {line}")
         return EXIT_INVALID

@@ -26,7 +26,16 @@ from .cycles import CycleConfig
 from .pic0 import PicZeroElement, PicZeroFamily
 from .twistor import EllipticBase, TwistorPencil
 
-_KNOWN_KEYS = ("base", "n", "k", "self", "selfints", "family", "resolution")
+#: Each file key and the ``ConfigData`` field it fills.
+_FIELDS = {
+    "base": "base",
+    "n": "n",
+    "k": "k",
+    "self": "half_self_ints",
+    "selfints": "self_ints",
+    "family": "family",
+    "resolution": "resolution",
+}
 
 
 class ConfigError(ValueError):
@@ -94,7 +103,7 @@ def parse_config(text: str) -> ConfigData:
         key, _, raw = content.partition("=")
         key = key.strip()
         raw = raw.strip()
-        if key not in _KNOWN_KEYS:
+        if key not in _FIELDS:
             raise ConfigError(f"line {line_no}: unknown key {key!r}")
         if key in seen:
             raise ConfigError(f"line {line_no}: duplicate key {key!r}")
@@ -115,15 +124,7 @@ def parse_config(text: str) -> ConfigData:
         raise ConfigError("exactly one of 'self' and 'selfints' may be given")
     if seen.get("base") != "elliptic" and "self" not in seen and "selfints" not in seen:
         raise ConfigError("one of 'self' and 'selfints' is required")
-    return ConfigData(
-        base=seen.get("base"),  # type: ignore[arg-type]
-        n=seen.get("n"),  # type: ignore[arg-type]
-        k=seen.get("k"),  # type: ignore[arg-type]
-        half_self_ints=seen.get("self"),  # type: ignore[arg-type]
-        self_ints=seen.get("selfints"),  # type: ignore[arg-type]
-        family=seen.get("family"),  # type: ignore[arg-type]
-        resolution=seen.get("resolution"),  # type: ignore[arg-type]
-    )
+    return ConfigData(**{_FIELDS[k]: v for k, v in seen.items()})
 
 
 def render_config(data: ConfigData) -> str:

@@ -273,14 +273,13 @@ def _finish(
 def _stencil(s: Sequence[int], v: Sequence[int | Fraction]) -> list[int | Fraction]:
     """The product M@v read off the self-intersections ``s``.
 
-    (Mv)_i = s_i v_i + v_{i-1} + v_{i+1}; two components meet twice, and
-    a single nodal component meets only itself.
+    (Mv)_i = s_i v_i + v_{i-1} + v_{i+1}.  For m = 2 both neighbours are
+    the other component, which gives the double intersection; a single
+    nodal component meets only itself.
     """
     m = len(s)
     if m == 1:
         return [s[0] * v[0]]
-    if m == 2:
-        return [s[0] * v[0] + 2 * v[1], 2 * v[0] + s[1] * v[1]]
     return [s[i] * v[i] + v[i - 1] + v[(i + 1) % m] for i in range(m)]
 
 

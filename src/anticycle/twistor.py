@@ -50,8 +50,11 @@ _KODAIRA_OF_VERDICT = {
 }
 
 
-class InvariantViolation(Exception):
-    """An internally certified invariant failed; inputs are inconsistent."""
+class InvariantViolation(ValueError):
+    """An internally certified invariant failed; inputs are inconsistent.
+
+    A ``ValueError``, so callers treat it as bad input like any other.
+    """
 
 
 @dataclass(frozen=True)
@@ -313,35 +316,28 @@ def _rotated(values: tuple, shift: int) -> tuple:
 def build_resolved_model(pencil: TwistorPencil) -> ResolvedModel:
     """Small-resolution model over the first critical value.
 
-    Requires k >= 2 (two distinct critical values), a normalized labeling
-    (l_1 > l_2), and P != 0 with P^2 = 0.  The strict transforms and the
-    two exceptional curves form a cycle of 2k + 2 curves; the node bit
-    decides whether the exceptional curve joins the fiber of E_2 (bit 0)
-    or of E_1 (bit 1), mirrored on the conjugate side.
+    Validates the pencil (a ``ValueError`` with one line per problem), then
+    builds :func:`normalized_model` from the base's decomposition.
     """
     _raise_if_invalid(pencil)
-    return _resolved_model(pencil, base_decomposition(pencil))
+    return normalized_model(pencil, base_decomposition(pencil))
 
 
 def normalized_model(pencil: TwistorPencil, z: ZariskiDecomposition) -> ResolvedModel:
-    """The resolved model of a validated pencil, normalized; its base decomposes as z."""
-    return _resolved_model(*normalize_rotation(pencil, z))
+    """The resolved model of a validated pencil whose base decomposes as z.
 
-
-def _resolved_model(pencil: TwistorPencil, z: ZariskiDecomposition) -> ResolvedModel:
-    """:func:`build_resolved_model` of a validated pencil whose base decomposes as z."""
+    The labeling is first normalized by :func:`normalize_rotation`, which
+    raises :class:`InvariantViolation` unless the base is a real cycle with
+    P != 0, P^2 = 0 and a non-constant coefficient list (so k >= 2).  The
+    strict transforms and the two exceptional curves form a cycle of 2k + 2
+    curves; the node bit decides whether the exceptional curve joins the
+    fiber of E_2 (bit 0) or of E_1 (bit 1), mirrored on the conjugate side.
+    """
+    pencil, z = normalize_rotation(pencil, z)
     config = z.config
     k = config.real_k
-    if k is None or k < 2:
-        raise ValueError("resolved model requires a real base with k >= 2")
-    if z.l is None or z.d != 0:
-        raise ValueError("resolved model requires P != 0 with P^2 = 0")
     if z.l[:k] != z.l[k:]:
         raise InvariantViolation("nef coefficients are not conjugation-symmetric")
-    if not z.l[0] > z.l[1]:
-        raise ValueError(
-            "labeling not normalized (l1 > l2 required); apply normalize_rotation"
-        )
     bit = pencil.resolution[0] if pencil.resolution else 0
     cycle_order = (
         [_curve(1), _delta()]

@@ -226,3 +226,40 @@ class TestContract:
             assert (before == NEGATIVE_DEFINITE) == (after == NEGATIVE_DEFINITE)
             checked += 1
         assert checked > 10
+
+
+class TestSurgeryFrame:
+    """The range check and the real/plain rebuild shared by every surgery."""
+
+    SURGERIES = [
+        (blow_up_node, "node", (1, 1)),
+        (blow_up_smooth, "component", (0, 1)),
+        (blow_down, "component", (-1, -1)),
+    ]
+
+    @pytest.mark.parametrize("surgery, what, shift", SURGERIES)
+    @pytest.mark.parametrize("index", [-1, 4])
+    def test_out_of_range_message(self, surgery, what, shift, index, cycle_c):
+        with pytest.raises(SurgeryInputError) as info:
+            surgery(cycle_c, index)
+        assert str(info.value) == f"{what} index {index} out of range for m=4"
+
+    def test_range_is_checked_before_the_two_cycle_rule(self, cycle_a):
+        with pytest.raises(SurgeryInputError) as info:
+            blow_down(cycle_a, 2)
+        assert str(info.value) == "component index 2 out of range for m=2"
+
+    @pytest.mark.parametrize("surgery, what, shift", SURGERIES)
+    def test_real_shifts_k_and_n(self, surgery, what, shift, cycle_c):
+        result = surgery(cycle_c, 0)
+        dk, dn = shift
+        assert result.config.real_k == cycle_c.real_k + dk
+        assert result.config.n == cycle_c.n + dn
+        assert result.config.m == cycle_c.m + 2 * dk
+
+    @pytest.mark.parametrize("surgery, what, shift", SURGERIES)
+    def test_drop_reality_gives_a_plain_cycle(self, surgery, what, shift, cycle_c):
+        result = surgery(cycle_c, 0, drop_reality=True)
+        assert result.config.real_k is None
+        assert result.config.n is None
+        assert result.config.m == cycle_c.m + shift[0]

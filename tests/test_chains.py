@@ -8,8 +8,10 @@ divisors are arbitrary effective Q-divisors.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -53,6 +55,12 @@ class TestStencil:
         v = data.draw(st.lists(st.fractions(-5, 5, max_denominator=6), min_size=len(s), max_size=len(s)))
         config = CycleConfig.plain(s)
         assert tuple(_stencil(config.self_ints, v)) == intersection_matrix(config).apply(v)
+
+    @pytest.mark.parametrize("a, b", itertools.product((-4, -1, 0, 2), repeat=2))
+    def test_two_cycle_stencil_is_the_matrix_product(self, a, b):
+        config = CycleConfig.plain((a, b))
+        for v in ((1, 0), (0, 1), (1, 1), (Fraction(1, 2), -3)):
+            assert tuple(_stencil(config.self_ints, v)) == intersection_matrix(config).apply(v)
 
     @settings(max_examples=200, deadline=None)
     @given(_SELF_INTS)

@@ -229,6 +229,41 @@ class TestBuildModel:
         assert bit1.reducible_divisor == "E_1"
 
 
+class TestBuildModelNormalizes:
+    def test_rotated_fixture_c_builds_the_model_of_fixture_c(self):
+        rotated = TwistorPencil(
+            n=5,
+            base=CycleConfig.real((-4, -1), 5),
+            family=PicZeroFamily.nonconstant(),
+        )
+        assert build_resolved_model(rotated) == build_resolved_model(pencil_c())
+
+    @pytest.mark.parametrize(
+        "half, n, message",
+        [
+            ((-3,), 5, "normalization requires P != 0 with P^2 = 0"),
+            ((-5, 1), 4, "normalization requires P != 0 with P^2 = 0"),
+            (
+                (-2,),
+                4,
+                "all nef coefficients are equal (K^2 = 0); no rotation can "
+                "arrange l1 > l2",
+            ),
+        ],
+        ids=["fixtureB", "fixtureE", "fixtureA"],
+    )
+    def test_rejections_carry_the_normalization_message(self, half, n, message):
+        pencil = TwistorPencil(
+            n=n, base=CycleConfig.real(half, n), family=PicZeroFamily.nonconstant()
+        )
+        with pytest.raises(ValueError) as info:
+            build_resolved_model(pencil)
+        assert str(info.value) == message
+
+    def test_invariant_violation_is_a_value_error(self):
+        assert issubclass(InvariantViolation, ValueError)
+
+
 class TestNormalize:
     def test_fixture_c_unchanged(self):
         pencil = pencil_c()
