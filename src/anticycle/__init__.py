@@ -19,7 +19,6 @@ from .cycles import (
 from .birational import (
     SurgeryInputError,
     SurgeryResult,
-    SurgeryStep,
     blow_down,
     blow_up_node,
     blow_up_smooth,

@@ -21,7 +21,6 @@ from .cycles import CycleConfig, zariski_decompose
 
 __all__ = [
     "SurgeryInputError",
-    "SurgeryStep",
     "SurgeryResult",
     "blow_up_node",
     "blow_up_smooth",
@@ -32,14 +31,6 @@ __all__ = [
 
 class SurgeryInputError(ValueError):
     """A surgery was requested on a point or component it cannot apply to."""
-
-
-@dataclass(frozen=True)
-class SurgeryStep:
-    """One recorded surgery: what was done, and at which 0-based index."""
-
-    kind: str
-    index: int
 
 
 @dataclass(frozen=True)
@@ -60,10 +51,13 @@ def _targets(
     config: CycleConfig, index: int, drop_reality: bool, what: str
 ) -> tuple[bool, list[int]]:
     """Whether the surgery keeps reality, and the sorted indices it acts on:
-    ``index`` and its conjugate on a real cycle, ``index`` alone otherwise."""
+    ``index`` and its conjugate on a real cycle, ``index`` alone otherwise.
+
+    ``index`` is 0-based; messages number nodes and components 1-based, as
+    :func:`cycles.validate` and the command line do."""
     m = config.m
     if not 0 <= index < m:
-        raise SurgeryInputError(f"{what} index {index} out of range for m={m}")
+        raise SurgeryInputError(f"{what} {index + 1} out of range for m = {m}")
     real = config.is_real and not drop_reality
     return real, sorted({index, config.conjugate_index(index)}) if real else [index]
 
@@ -131,10 +125,6 @@ def blow_up_smooth(
 
 def _contract_once(selfs: list[int], component: int) -> list[int]:
     m = len(selfs)
-    if selfs[component] != -1:
-        raise SurgeryInputError(
-            f"component {component} has self-intersection {selfs[component]}, not -1"
-        )
     if m < 2:
         raise SurgeryInputError("cannot contract the only component")
     if m == 2:
@@ -153,7 +143,8 @@ def blow_down(
 
     Neighbours gain one; for m = 2 the survivor becomes a nodal curve and
     gains four (the two intersection points with the contracted curve merge
-    into the node).
+    into the node).  The requested component is checked before its
+    conjugate, and a message names the failing one 1-based.
     """
     real, points = _targets(config, component, drop_reality, "component")
     if real and config.real_k == 1:
@@ -162,6 +153,12 @@ def blow_down(
             "drop reality to contract a single component"
         )
     selfs = list(config.self_ints)
+    # the requested component first, then its conjugate
+    for c in sorted(points, key=lambda i: i != component):
+        if selfs[c] != -1:
+            raise SurgeryInputError(
+                f"component {c + 1} has self-intersection {selfs[c]}, not -1"
+            )
     # the higher index first, so the lower one keeps its index
     for c in reversed(points):
         selfs = _contract_once(selfs, c)
@@ -170,18 +167,19 @@ def blow_down(
 
 def contract_to_nef_model(
     config: CycleConfig,
-) -> tuple[CycleConfig, tuple[SurgeryStep, ...]] | None:
+) -> tuple[CycleConfig, tuple[int, ...]] | None:
     """Contract (-1)-components until the full cycle itself is nef.
 
     Repeatedly blows down the least-index (-1)-component while the negative
-    part is non-zero.  Returns the final configuration and the recorded
-    steps when a nef model is reached, and ``None`` when the nef part
-    vanishes (no model exists) or the supply of (-1)-components runs out.
+    part is non-zero.  Returns the final configuration and the 0-based
+    components blown down, in order, when a nef model is reached, and
+    ``None`` when the nef part vanishes (no model exists) or the supply of
+    (-1)-components runs out.
     """
     z = zariski_decompose(config)
     if z.p.is_zero:
         return None
-    steps: list[SurgeryStep] = []
+    steps: list[int] = []
     while not z.n_part.is_zero:
         target = next(
             (i for i, s in enumerate(z.config.self_ints) if s == -1), None
@@ -192,6 +190,6 @@ def contract_to_nef_model(
             result = blow_down(z.config, target)
         except SurgeryInputError:
             return None
-        steps.append(SurgeryStep("blow_down", target))
+        steps.append(target)
         z = zariski_decompose(result.config)
     return z.config, tuple(steps)

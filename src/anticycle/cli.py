@@ -195,12 +195,6 @@ def _load_pencil(path: str) -> TwistorPencil:
     return _built(_load_data(path), build, validate_pencil)
 
 
-def _component_index(config: CycleConfig, one_based: int, what: str) -> int:
-    if not 1 <= one_based <= config.m:
-        raise ValueError(f"{what} {one_based} out of range for m = {config.m}")
-    return one_based - 1
-
-
 # ---------------------------------------------------------------------------
 # subcommands: each returns its report, which :func:`run` renders
 
@@ -222,11 +216,11 @@ def _cmd_blowup(args: argparse.Namespace) -> dict[str, Any]:
     if args.smooth:
         if args.component is None:
             raise ValueError("--smooth requires --component")
-        index = _component_index(config, args.component, "component")
-        result = blow_up_smooth(config, index, drop_reality=args.drop_reality)
+        result = blow_up_smooth(
+            config, args.component - 1, drop_reality=args.drop_reality
+        )
     else:
-        index = _component_index(config, args.node, "node")
-        result = blow_up_node(config, index, drop_reality=args.drop_reality)
+        result = blow_up_node(config, args.node - 1, drop_reality=args.drop_reality)
     report: dict[str, Any] = {"result": _config_fields(result.config)}
     if result.inserted:
         report["inserted"] = [i + 1 for i in result.inserted]
@@ -238,8 +232,7 @@ def _cmd_blowup(args: argparse.Namespace) -> dict[str, Any]:
 
 def _cmd_blowdown(args: argparse.Namespace) -> dict[str, Any]:
     config = _load_cycle(args.file)
-    index = _component_index(config, args.component, "component")
-    result = blow_down(config, index, drop_reality=args.drop_reality)
+    result = blow_down(config, args.component - 1, drop_reality=args.drop_reality)
     return {"result": _config_fields(result.config)}
 
 
@@ -252,9 +245,7 @@ def _cmd_contract(args: argparse.Namespace) -> dict[str, Any]:
     return {
         "found": True,
         "result": _config_fields(final),
-        "steps": [
-            {"kind": s.kind, "component": s.index + 1} for s in steps
-        ],
+        "steps": [{"kind": "blow_down", "component": i + 1} for i in steps],
     }
 
 

@@ -413,7 +413,8 @@ def zariski_decompose(config: CycleConfig, divisor=None) -> ZariskiDecomposition
             solved = _solve_chain(s, rhs, support)
             if solved is None:
                 raise CertificationError(
-                    f"singular support system on components {support}"
+                    "singular support system on components "
+                    f"{[i + 1 for i in support]}"
                 )
             n_coeffs, chain_den = solved
         p = [chain_den * a - b for a, b in zip(dint, n_coeffs)]

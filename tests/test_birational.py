@@ -134,6 +134,13 @@ class TestBlowDown:
         with pytest.raises(SurgeryInputError):
             blow_down(cycle_c, 1)
 
+    @pytest.mark.parametrize("drop_reality", [False, True])
+    def test_message_names_the_requested_component(self, cycle_e, drop_reality):
+        # component 2 (1-based) is checked before its conjugate 4
+        with pytest.raises(SurgeryInputError) as info:
+            blow_down(cycle_e, 1, drop_reality=drop_reality)
+        assert str(info.value) == "component 2 has self-intersection 1, not -1"
+
     def test_real_pair_contraction(self, cycle_c):
         result = blow_down(cycle_c, 0)
         assert result.config.self_ints == (-2, -2)
@@ -181,8 +188,7 @@ class TestContract:
         assert outcome is not None
         final, steps = outcome
         assert final.self_ints == (-2, -2)
-        assert len(steps) == 1
-        assert steps[0].kind == "blow_down"
+        assert steps == (1,)
 
     def test_fixture_a_already_nef(self, cycle_a):
         outcome = contract_to_nef_model(cycle_a)
@@ -242,12 +248,12 @@ class TestSurgeryFrame:
     def test_out_of_range_message(self, surgery, what, shift, index, cycle_c):
         with pytest.raises(SurgeryInputError) as info:
             surgery(cycle_c, index)
-        assert str(info.value) == f"{what} index {index} out of range for m=4"
+        assert str(info.value) == f"{what} {index + 1} out of range for m = 4"
 
     def test_range_is_checked_before_the_two_cycle_rule(self, cycle_a):
         with pytest.raises(SurgeryInputError) as info:
             blow_down(cycle_a, 2)
-        assert str(info.value) == "component index 2 out of range for m=2"
+        assert str(info.value) == "component 3 out of range for m = 2"
 
     @pytest.mark.parametrize("surgery, what, shift", SURGERIES)
     def test_real_shifts_k_and_n(self, surgery, what, shift, cycle_c):

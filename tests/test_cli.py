@@ -4,8 +4,12 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -180,6 +184,39 @@ class TestSurgeryCommands:
             "2",
         )
         assert code == 2
+
+    def test_blowdown_names_the_requested_component(self, capsys):
+        code, out = run_cli(
+            capsys,
+            "blowdown",
+            "--file",
+            fixture_path("fixtureE.cfg"),
+            "--component",
+            "2",
+        )
+        assert code == 2
+        assert out == "invalid: component 2 has self-intersection 1, not -1\n"
+
+    @pytest.mark.parametrize(
+        "command, name, message",
+        [
+            (("blowup", "--node", "5"), "fixtureC.cfg", "node 5 out of range for m = 4"),
+            (
+                ("blowup", "--component", "0", "--smooth"),
+                "fixtureC.cfg",
+                "component 0 out of range for m = 4",
+            ),
+            (
+                ("blowdown", "--component", "3"),
+                "fixtureA.cfg",
+                "component 3 out of range for m = 2",
+            ),
+        ],
+    )
+    def test_out_of_range_index(self, command, name, message, capsys):
+        code, out = run_cli(capsys, *command, "--file", fixture_path(name))
+        assert code == 2
+        assert out == f"invalid: {message}\n"
 
     def test_contract(self, capsys):
         code, out = run_cli(
@@ -523,6 +560,14 @@ class TestUncertified:
         assert captured.out == "error: negative part is not effective\n"
         assert "Traceback" not in captured.err
 
+    def test_singular_chain_solve_exits_four(self, monkeypatch, capsys):
+        monkeypatch.setattr(cycles, "_solve_chain", lambda s, rhs, support: None)
+        code = cli.run(["zariski", "--file", fixture_path("fixtureC.cfg")])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_UNCERTIFIED == 4
+        assert captured.out == "error: singular support system on components [2]\n"
+        assert "Traceback" not in captured.err
+
     def test_indefinite_support_exits_four(self, monkeypatch, capsys):
         def indefinite(config, support):
             return False
@@ -630,3 +675,29 @@ def test_adim_validates_once(monkeypatch, capsys):
         assert len(calls) <= 1, path.name
         validated += len(calls)
     assert validated >= 5
+
+
+def test_module_entry_point():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    completed = subprocess.run(
+        [
+            sys.executable,
+            "-m",
+            "anticycle.cli",
+            "blowdown",
+            "--component",
+            "1",
+            "--file",
+            fixture_path("fixtureD.cfg"),
+        ],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert completed.returncode == 2
+    assert completed.stdout == (
+        "invalid: component 1 has self-intersection -3, not -1\n"
+    )
+    assert "Traceback" not in completed.stderr
