@@ -10,7 +10,11 @@ twistor space, tied to the configuration through C^2 = 8 - 2n.
 
 The central operation is the Zariski decomposition C = P + N into a nef
 part and a negative part, computed exactly and certified against the
-defining conditions.  The intersection form of a cycle has at most three
+defining conditions.  It follows T. Bauer, "A simple proof for the
+existence of Zariski decompositions on surfaces" (J. Algebraic Geom. 18,
+2009): the support of N grows in rounds, every component with P.C_i < 0
+joins in one round, and Bauer's lemma keeps each enlarged support
+negative definite.  The intersection form of a cycle has at most three
 non-zeros per row, and every proper subset of the components is a
 disjoint union of chains.  The production algorithm uses both facts: its
 products are a stencil over the self-intersections, and it solves a
@@ -33,6 +37,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
@@ -206,7 +211,13 @@ def intersection_matrix(config: CycleConfig) -> SymMatrix:
 
 def anticanonical(config: CycleConfig) -> QDivisor:
     """The full cycle as a divisor (all coefficients one)."""
-    return QDivisor.of([1] * config.m)
+    return _ones(config.m)
+
+
+@cache
+def _ones(m: int) -> QDivisor:
+    """The divisor with m coefficients one; immutable, so shared per m."""
+    return QDivisor.of([1] * m)
 
 
 def _cycle_square(config: CycleConfig) -> int:
@@ -382,8 +393,11 @@ def zariski_decompose(config: CycleConfig, divisor=None) -> ZariskiDecomposition
     """Zariski decomposition of an effective divisor on the cycle.
 
     Starting from empty support, repeatedly solve for the negative part N
-    on the current support S via (D - N).C_i = 0 for i in S, then grow S by
-    the least component on which D - N fails to be nef.  The loop is
+    on the current support S via (D - N).C_i = 0 for i in S, then grow S in
+    one round: every component outside S with P.C_i < 0, for P = D - N,
+    joins S at once, in index order, and the loop stops when there is none.
+    Bauer's lemma keeps every enlarged S negative definite, and each round
+    costs one solve.  The loop is
     integer throughout: D is carried as integers over ``den``, the lcm of
     its denominators, and N as integers over L * den, where L > 0
     (``chain_den``) comes from the continuant solve of the runs of a
@@ -419,12 +433,10 @@ def zariski_decompose(config: CycleConfig, divisor=None) -> ZariskiDecomposition
             n_coeffs, chain_den = solved
         p = [chain_den * a - b for a, b in zip(dint, n_coeffs)]
         pdots = _stencil(s, p)
-        growth = next(
-            (i for i in range(m) if pdots[i] < 0 and i not in support), None
-        )
-        if growth is None:
+        growth = [i for i in range(m) if pdots[i] < 0 and i not in support]
+        if not growth:
             break
-        support.append(growth)
+        support += growth
     if any(x < 0 for x in n_coeffs):
         raise CertificationError("negative part is not effective")
     if any(x < 0 for x in p):

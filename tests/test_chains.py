@@ -8,8 +8,10 @@ divisors are arbitrary effective Q-divisors.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -17,6 +19,7 @@ from hypothesis import strategies as st
 
 from anticycle import cycles
 from anticycle.birational import blow_up_node
+from anticycle.config_io import build_cycle, parse_config
 from anticycle.cycles import (
     CycleConfig,
     QDivisor,
@@ -31,14 +34,15 @@ from anticycle.cycles import (
     zariski_oracle,
 )
 from anticycle.qform import NEGATIVE_DEFINITE, _det, definiteness_by_minors
+from conftest import fixture_path
 
 _SELF_INTS = st.lists(st.integers(min_value=-6, max_value=3), min_size=1, max_size=9)
 
 
 @st.composite
-def _cycles_with_divisors(draw):
+def _cycles_with_divisors(draw, self_ints=_SELF_INTS):
     """A plain cycle and an effective Q-divisor on it (or ``None``: C itself)."""
-    s = draw(_SELF_INTS)
+    s = draw(self_ints)
     coefficient = st.fractions(min_value=0, max_value=6, max_denominator=4)
     divisor = draw(st.none() | st.lists(coefficient, min_size=len(s), max_size=len(s)))
     return CycleConfig.plain(s), divisor
@@ -169,6 +173,86 @@ class TestDihedralEquivariance:
             assert moved.n_part.coeffs == move(z.n_part.coeffs)
             assert moved.d == z.d
             assert moved.m0 == z.m0
+
+
+@contextlib.contextmanager
+def _recorded_growth_solves():
+    """Record the growth loop's ``_solve_chain`` calls as (support, rhs, solution).
+
+    The whole-cycle certification also solves a chain, from inside
+    ``_negative_definite_support``; those calls are not growth rounds and
+    are left out.
+    """
+    calls = []
+    depth = 0
+    solve, definite = cycles._solve_chain, cycles._negative_definite_support
+
+    def recording(s, rhs, support):
+        support = list(support)
+        solved = solve(s, rhs, support)
+        if not depth:
+            calls.append((support, list(rhs), solved))
+        return solved
+
+    def certifying(config, support):
+        nonlocal depth
+        depth += 1
+        try:
+            return definite(config, support)
+        finally:
+            depth -= 1
+
+    cycles._solve_chain, cycles._negative_definite_support = recording, certifying
+    try:
+        yield calls
+    finally:
+        cycles._solve_chain, cycles._negative_definite_support = solve, definite
+
+
+class TestBauerRounds:
+    """Each round of the growth loop adds every component on which P is negative."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_cycles_with_divisors(_RUN_SELF_INTS))
+    @example((CycleConfig.plain((-1, -4, -1, -4)), None))  # one round
+    @example((CycleConfig.plain((-3, -2, -2)), None))  # N = D after rounds
+    @example((CycleConfig.plain((-5, 1, -5, 1)), None))  # P^2 > 0
+    def test_rounds(self, case):
+        config, divisor = case
+        with _recorded_growth_solves() as calls:
+            z = zariski_decompose(config, divisor)
+        matrix = intersection_matrix(config)
+        m = config.m
+        negative = [i for i, x in enumerate(matrix.apply(z.divisor.coeffs)) if x < 0]
+        previous: list[int] = []
+        for support, rhs, solved in calls:
+            added = [i for i in negative if i not in previous]
+            assert added and support[: len(previous)] == previous, support
+            assert support == previous + added, support
+            assert definiteness_by_minors(matrix.submatrix(support)).kind == NEGATIVE_DEFINITE
+            # M x = L rhs on the support, so P.C_i has the sign of L rhs_i - (M x)_i.
+            x, denominator = solved
+            product = matrix.apply(x)
+            negative = [i for i in range(m) if denominator * rhs[i] - product[i] < 0]
+            previous = support
+        last = [i for i in negative if i not in previous]
+        assert not last or len(previous) + len(last) == m
+        assert len(calls) <= len(z.n_part.support)
+
+    def test_fixture_c_decomposes_in_one_solve(self, monkeypatch):
+        text = Path(fixture_path("fixtureC.cfg")).read_text(encoding="utf-8")
+        config = build_cycle(parse_config(text))
+        assert config == CycleConfig.real((-1, -4), 5)
+        supports = []
+
+        def recording(s, rhs, support):
+            supports.append(list(support))
+            return _solve_chain(s, rhs, support)
+
+        monkeypatch.setattr(cycles, "_solve_chain", recording)
+        z = zariski_decompose(config)
+        assert supports == [[1, 3]]
+        assert z.n_part.support == (1, 3)
 
 
 def test_full_cycle_supports():

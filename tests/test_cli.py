@@ -565,7 +565,7 @@ class TestUncertified:
         code = cli.run(["zariski", "--file", fixture_path("fixtureC.cfg")])
         captured = capsys.readouterr()
         assert code == cli.EXIT_UNCERTIFIED == 4
-        assert captured.out == "error: singular support system on components [2]\n"
+        assert captured.out == "error: singular support system on components [2, 4]\n"
         assert "Traceback" not in captured.err
 
     def test_indefinite_support_exits_four(self, monkeypatch, capsys):

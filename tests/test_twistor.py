@@ -508,6 +508,47 @@ class TestAlgebraicDimension:
             VERDICT_INCONSISTENT: 45,
         }
 
+    def test_theorem_on_every_real_cycle_with_k5_under_every_resolution(self):
+        """Over n CP^2 with n > 4 a pencil is never a2, on every real cycle
+        with k = 5 and half self-intersections in [-6, 3]; each inconsistent
+        pencil stays inconsistent, with every derivation holding, under all
+        32 resolution choices."""
+        verdicts: Counter[str] = Counter()
+        a2_n: set[int] = set()
+        for half in itertools.product(range(-6, 4), repeat=5):
+            n = ambient_n(CycleConfig(half + half, real_k=5))
+            if n is None or n < 4:
+                continue
+            base = CycleConfig.real(half, n)
+            pencil = TwistorPencil(n=n, base=base, family=finite_family(1, 4))
+            if validate_pencil(pencil):
+                continue
+            report = algebraic_dimension(pencil)
+            z = report.decomposition
+            verdicts[report.verdict] += 1
+            if report.verdict == VERDICT_A2:
+                a2_n.add(n)
+            assert (report.verdict == VERDICT_INCONSISTENT) == (
+                n > 4 and not z.p.is_zero and z.d == 0
+            ), half
+            if report.verdict != VERDICT_INCONSISTENT:
+                continue
+            for resolution in itertools.product((0, 1), repeat=5):
+                chosen = dataclasses.replace(pencil, resolution=resolution)
+                chosen_report = algebraic_dimension(chosen)
+                assert chosen_report.verdict == VERDICT_INCONSISTENT, (half, resolution)
+                assert chosen_report.derivations, (half, resolution)
+                for derivation in chosen_report.derivations:
+                    assert derivation.holds, (half, resolution)
+                    assert all(step.holds for step in derivation.steps), (half, resolution)
+        assert a2_n == {4}
+        assert verdicts == {
+            VERDICT_A1: 6234,
+            VERDICT_A2: 1,
+            VERDICT_A3: 31785,
+            VERDICT_INCONSISTENT: 105,
+        }
+
     def test_bound_respected(self):
         levels = {"zero": 0, "one": 1, "two": 2}
         numeric = {VERDICT_A1: 1, VERDICT_A2: 2, VERDICT_A3: 3}
