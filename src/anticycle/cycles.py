@@ -24,7 +24,8 @@ leading minors, and their ratios its Hirzebruch-Jung remainders), whose
 signs also certify negative definiteness.  Its arithmetic is integer
 throughout: the divisor and the negative part are carried as integer
 vectors over one positive denominator, and ``Fraction`` appears only when
-the result is packed.  A support that is the whole cycle needs no solve
+the result is packed, which builds one ``Fraction`` per distinct
+coefficient value.  A support that is the whole cycle needs no solve
 (N = D), and its definiteness is the chain of the first m - 1 components
 plus the Schur complement of the last.  A deliberately naive oracle that
 enumerates all candidate supports with the dense ``Fraction`` matrices of
@@ -39,6 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 from .pic0 import CONSTANT_FINITE, CONSTANT_INFINITE, PicZeroFamily, family_profile
@@ -295,20 +297,21 @@ def _stencil(s: Sequence[int], v: Sequence[int | Fraction]) -> list[int | Fracti
 
 
 def _runs(support: Iterable[int], m: int) -> list[list[int]]:
-    """The maximal runs of cyclically consecutive indices of a proper support."""
-    inside = [False] * m
-    for i in support:
-        inside[i] = True
-    start = inside.index(False)
+    """The maximal runs of cyclically consecutive indices of a proper support.
+
+    One scan of the sorted support; a run that ends at index m - 1 joins
+    the run that starts at 0.  The runs come in no particular order.
+    """
     runs: list[list[int]] = []
     run: list[int] = []
-    for step in range(1, m + 1):
-        i = (start + step) % m
-        if inside[i]:
+    for i in sorted(support):
+        if run and i == run[-1] + 1:
             run.append(i)
-        elif run:
+        else:
+            run = [i]
             runs.append(run)
-            run = []
+    if len(runs) > 1 and runs[0][0] == 0 and runs[-1][-1] == m - 1:
+        runs[0] = runs.pop() + runs[0]
     return runs
 
 
@@ -331,25 +334,29 @@ def _solve_chain(
     """Integers N over L > 0 with (M@N)_i = L rhs_i for i in the support.
 
     Each maximal run is a tridiagonal system with unit off-diagonals,
-    solved fraction-free with its continuants q_t: the forward sweep
-    R_0 = rhs_0, R_t = rhs_t q_{t-1} - R_{t-1}, then the back sweep
+    solved fraction-free with its continuants q_t.  One pass along the run
+    builds the continuants (as :func:`_continuants` does) together with the
+    forward sweep R_0 = rhs_0, R_t = rhs_t q_{t-1} - R_{t-1}; the back sweep
     X_last = R_last, X_t = (R_t q_last - q_{t-1} X_{t+1}) / q_t, an exact
-    division, gives the run's solution X / q_last.  L is the least common
-    multiple of the runs' |q_last|.  Returns ``None`` when a continuant
-    vanishes: the run is then singular or not negative definite, and
-    Bauer's growth lemma keeps every growth support negative definite.
+    division, then gives the run's solution X / q_last.  L is the least
+    common multiple of the runs' |q_last|.  Returns ``None`` when a
+    continuant vanishes: the run is then singular or not negative definite,
+    and Bauer's growth lemma keeps every growth support negative definite.
     """
     solved = []
     denominator = 1
     for run in _runs(support, len(s)):
-        q = _continuants(s, run)
+        first = run[0]
+        q_prev, det, r = 1, s[first], rhs[first]
+        q, reduced = [det], [r]
+        for i in run[1:]:
+            r = rhs[i] * det - r
+            q_prev, det = det, s[i] * det - q_prev
+            q.append(det)
+            reduced.append(r)
         if not all(q):
             return None
-        reduced = [rhs[run[0]]]
-        for t in range(1, len(run)):
-            reduced.append(rhs[run[t]] * q[t - 1] - reduced[-1])
-        det = q[-1]
-        x = reduced[-1]
+        x = r
         xs = [x]
         for t in range(len(run) - 2, -1, -1):
             x = (reduced[t] * det - (q[t - 1] if t else 1) * x) // q[t]
@@ -392,15 +399,15 @@ def _negative_definite_support(config: CycleConfig, support: Sequence[int]) -> b
 def zariski_decompose(config: CycleConfig, divisor=None) -> ZariskiDecomposition:
     """Zariski decomposition of an effective divisor on the cycle.
 
-    Starting from empty support, repeatedly solve for the negative part N
-    on the current support S via (D - N).C_i = 0 for i in S, then grow S in
-    one round: every component outside S with P.C_i < 0, for P = D - N,
-    joins S at once, in index order, and the loop stops when there is none.
-    Bauer's lemma keeps every enlarged S negative definite, and each round
-    costs one solve.  The loop is
-    integer throughout: D is carried as integers over ``den``, the lcm of
-    its denominators, and N as integers over L * den, where L > 0
-    (``chain_den``) comes from the continuant solve of the runs of a
+    The loop starts from P = D with empty support S.  Each round grows S by
+    every component outside it with P.C_i < 0, at once and in index order,
+    then solves for the negative part N on S via (D - N).C_i = 0 for i in
+    S and recomputes P = D - N; the loop stops when no component has
+    P.C_i < 0.  Bauer's lemma keeps every enlarged S negative definite, and
+    each round costs one solve.  The loop is integer throughout: D is
+    carried as integers over ``den``, the lcm of its denominators (C itself,
+    the default, is all ones over 1), and N as integers over L * den, where
+    L > 0 (``chain_den``) comes from the continuant solve of the runs of a
     proper support (the whole cycle as support gives N = D, L = 1).
     Products come from the stencil of the self-intersections; no dense
     matrix is built.  On termination the result is certified against all
@@ -408,22 +415,30 @@ def zariski_decompose(config: CycleConfig, divisor=None) -> ZariskiDecomposition
     stencil: P and N effective, P nef, P orthogonal to every component of
     N, and N supported on a negative-definite configuration (the
     continuants of supp N, plus a Schur complement when supp N is the
-    whole cycle).  ``Fraction`` appears only when the result is packed,
-    and m0 and l fall out of L * den * P through one gcd.
+    whole cycle).  Packing builds one ``Fraction`` per distinct integer of
+    P and N, and m0 and l fall out of L * den * P through one gcd.
     """
-    divisor = _coerce_divisor(config, divisor)
     s, m = config.self_ints, config.m
-    den = lcm(*(x.denominator for x in divisor.coeffs))
-    dint = [x.numerator * (den // x.denominator) for x in divisor.coeffs]
+    if divisor is None:
+        divisor, den, dint = _ones(m), 1, [1] * m
+    else:
+        divisor = _coerce_divisor(config, divisor)
+        den = lcm(*(x.denominator for x in divisor.coeffs))
+        dint = [x.numerator * (den // x.denominator) for x in divisor.coeffs]
     rhs = _stencil(s, dint)
     support: list[int] = []
     n_coeffs, chain_den = [0] * m, 1
+    p, pdots = dint, rhs
     while True:
+        growth = [i for i, x in enumerate(pdots) if x < 0 and i not in support]
+        if not growth:
+            break
+        support += growth
         if len(support) == m:
             # Bauer's growth lemma: the whole cycle is then negative definite,
             # so M N = M D gives N = D; the certification below checks it.
             n_coeffs, chain_den = dint, 1
-        elif support:
+        else:
             solved = _solve_chain(s, rhs, support)
             if solved is None:
                 raise CertificationError(
@@ -433,15 +448,11 @@ def zariski_decompose(config: CycleConfig, divisor=None) -> ZariskiDecomposition
             n_coeffs, chain_den = solved
         p = [chain_den * a - b for a, b in zip(dint, n_coeffs)]
         pdots = _stencil(s, p)
-        growth = [i for i in range(m) if pdots[i] < 0 and i not in support]
-        if not growth:
-            break
-        support += growth
-    if any(x < 0 for x in n_coeffs):
+    if min(n_coeffs, default=0) < 0:
         raise CertificationError("negative part is not effective")
-    if any(x < 0 for x in p):
+    if min(p, default=0) < 0:
         raise CertificationError("nef part is not effective")
-    if any(x < 0 for x in pdots):
+    if min(pdots, default=0) < 0:
         raise CertificationError("nef condition fails: P.C_i < 0 for some i")
     n_support = [i for i, x in enumerate(n_coeffs) if x]
     if any(pdots[i] for i in n_support):
@@ -454,14 +465,15 @@ def zariski_decompose(config: CycleConfig, divisor=None) -> ZariskiDecomposition
         m0, l = scale // g, tuple(x // g for x in p)
     else:
         m0, l = None, None
+    packed = {x: Fraction(x, scale) for x in {*p, *n_coeffs}}.__getitem__
     return ZariskiDecomposition(
         config,
         divisor,
-        QDivisor(tuple(Fraction(x, scale) for x in p)),
-        QDivisor(tuple(Fraction(x, scale) for x in n_coeffs)),
+        QDivisor(tuple(map(packed, p))),
+        QDivisor(tuple(map(packed, n_coeffs))),
         m0,
         l,
-        Fraction(sum(a * b for a, b in zip(p, pdots)), scale * scale),
+        Fraction(sum(map(mul, p, pdots)), scale * scale),
     )
 
 

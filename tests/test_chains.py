@@ -35,6 +35,7 @@ from anticycle.cycles import (
 )
 from anticycle.qform import NEGATIVE_DEFINITE, _det, definiteness_by_minors
 from conftest import fixture_path
+from decomposition_digest import decomposition_digest
 
 _SELF_INTS = st.lists(st.integers(min_value=-6, max_value=3), min_size=1, max_size=9)
 
@@ -100,6 +101,33 @@ def _assert_solves(config, rhs, support):
 
 
 _RUN_SELF_INTS = st.lists(st.integers(min_value=-6, max_value=3), min_size=1, max_size=10)
+
+
+def _expected_runs(support, m):
+    """The maximal runs of a proper support, each walked from its first index."""
+    runs = set()
+    for i in support:
+        if (i - 1) % m not in support:
+            run = [i]
+            while (run[-1] + 1) % m in support:
+                run.append((run[-1] + 1) % m)
+            runs.add(tuple(run))
+    return runs
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_runs_of_every_proper_support(m):
+    """Runs cover a proper support exactly, each cyclically consecutive, none touching."""
+    for size in range(m):
+        for support in itertools.combinations(range(m), size):
+            runs = cycles._runs(support, m)
+            inside = set(support)
+            assert sorted(i for run in runs for i in run) == list(support), support
+            for run in runs:
+                assert all((a + 1) % m == b for a, b in zip(run, run[1:])), (support, run)
+                assert (run[0] - 1) % m not in inside, (support, run)
+                assert (run[-1] + 1) % m not in inside, (support, run)
+            assert {tuple(run) for run in runs} == _expected_runs(inside, m), support
 
 
 class TestContinuants:
@@ -255,6 +283,67 @@ class TestBauerRounds:
         assert z.n_part.support == (1, 3)
 
 
+@st.composite
+def _walk_cycles(draw):
+    """Node blow-ups of the all-(-2) four-cycle: P != 0, P^2 = 0, and m <= 10."""
+    real = draw(st.booleans())
+    config = CycleConfig.real((-2, -2), 4) if real else CycleConfig.plain((-2,) * 4)
+    for node in draw(st.lists(st.integers(0, 9), max_size=3 if real else 6)):
+        config = blow_up_node(config, node % config.m).config
+    return config
+
+
+def _dihedral_representatives(m, values):
+    """One self-intersection tuple per rotation and reflection class."""
+    for s in itertools.product(values, repeat=m):
+        if s[0] != min(s):
+            continue
+        images = [s[r:] + s[:r] for r in range(m)]
+        images += [tuple(reversed(image)) for image in images]
+        if s == min(images):
+            yield s
+
+
+class TestSquareZeroLemma:
+    """P != 0 and P^2 = 0 imply P.C_i = 0 for every i, for the decomposition of C.
+
+    P^2 = P.C - P.N = sum_i P.C_i, since P is orthogonal to supp N, and P is
+    nef, so every term is zero.
+    """
+
+    @settings(max_examples=200, deadline=None)
+    @given(_walk_cycles() | _RUN_SELF_INTS.map(CycleConfig.plain))
+    @example(CycleConfig.plain((-2,) * 10))
+    @example(CycleConfig.plain((-1, -4, -1, -4)))
+    def test_decompose(self, config):
+        z = zariski_decompose(config)
+        if not z.p.is_zero and z.d == 0:
+            assert not any(_stencil(config.self_ints, z.p.coeffs))
+
+    @settings(max_examples=10, deadline=None)
+    @given(_walk_cycles())
+    def test_oracle(self, config):
+        z = zariski_oracle(config)
+        assert not z.p.is_zero and z.d == 0
+        assert not any(intersection_matrix(config).apply(z.p.coeffs))
+
+    def test_every_cycle_with_m_at_most_6(self):
+        """Every cycle with s in [-5, 1], one per dihedral class (the
+        decomposition is equivariant; see ``TestDihedralEquivariance``)."""
+        reached = 0
+        for m in range(1, 7):
+            for s in _dihedral_representatives(m, range(-5, 2)):
+                config = CycleConfig.plain(s)
+                z = zariski_decompose(config)
+                if z.p.is_zero or z.d:
+                    continue
+                reached += 1
+                assert not any(_stencil(s, z.p.coeffs)), s
+                oracle = zariski_oracle(config)
+                assert not any(intersection_matrix(config).apply(oracle.p.coeffs)), s
+        assert reached == 46
+
+
 def test_full_cycle_supports():
     """A support that is the whole cycle gives N = D, certified by a Schur complement."""
     nodal = zariski_decompose(CycleConfig.plain((-1,)))
@@ -336,3 +425,15 @@ def test_real_node_blow_up_is_two_single_ones(half, data):
     assert real.config.self_ints == second.config.self_ints
     assert real.transported_l == second.transported_l
     assert real.config.real_k == config.real_k + 1
+
+
+def test_decomposition_digest():
+    """Every output of ``zariski_decompose`` on a seeded corpus, pinned as one hash.
+
+    The corpus and hash are in ``tests/decomposition_digest.py``: 10,000
+    cycles with m in 1..12 and s in [-9, 6], default, random effective and
+    invalid divisors, results by ``repr`` and errors by type and message.
+    A change that means to alter an output regenerates the pin with
+    ``PYTHONPATH=src python tests/decomposition_digest.py``.
+    """
+    assert decomposition_digest() == "63c7d82db0a00393339459c3af9bacb3b9e6c67cb6cfe6c2847d61bc33abe80c"
