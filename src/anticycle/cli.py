@@ -4,6 +4,11 @@ Single-shot subcommands over config files; every report is printed to
 standard output either as flattened ``key: value`` lines or, with
 ``--json``, as a JSON document carrying the same values.
 
+Each command's arguments are parsed by that command's own parser.  The full
+parser sees only an empty argv, an unknown command, or arguments the command
+leaves over: the cases where only it prints the top-level usage, help or
+"unrecognized arguments" error.
+
 Each subcommand returns its report, and :func:`run` renders it and sets
 every exit code: from the report's verdict, or from the exception that
 ended the subcommand.  The codes are:
@@ -148,8 +153,8 @@ def _emit(report: dict[str, Any], as_json: bool) -> None:
     else:
         lines: list[str] = []
         _flatten(report, "", lines)
-        for line in lines:
-            print(line)
+        if lines:
+            print("\n".join(lines))
 
 
 # ---------------------------------------------------------------------------
@@ -158,10 +163,13 @@ def _emit(report: dict[str, Any], as_json: bool) -> None:
 
 def _load_data(path: str) -> config_io.ConfigData:
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
+        with open(path, "rb") as handle:
+            raw = handle.read()
     except OSError as exc:
         raise _CommandError(f"cannot read {path}: {exc.strerror}") from None
+    # ``parse_config`` breaks lines at CR LF and CR as text mode would; a
+    # UnicodeDecodeError is a ValueError, so ``run`` prints it as ``invalid:``
+    text = raw.decode("utf-8")
     try:
         return config_io.parse_config(text)
     except config_io.ConfigError as exc:
@@ -362,6 +370,8 @@ def build_parser() -> argparse.ArgumentParser:
         "and algebraic-dimension verdicts for twistor pencils.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # each command's own parser, by name, for :func:`_parse`
+    parser.commands = sub.choices
 
     def add(name: str, fn, help_text: str, *, file_required: bool = True):
         cmd = sub.add_parser(name, help=help_text)
@@ -418,8 +428,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse(argv: Sequence[str]) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, with one parser pass where it can.
+
+    The command named by ``argv[0]`` parses the rest with its own parser.
+    The full parser runs only where it alone decides what is printed: an
+    empty ``argv`` or an unknown command (top-level usage and help), or
+    arguments the command leaves over ("unrecognized arguments").
+    """
+    parser = build_parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, extras = command.parse_known_args(argv[1:])
+        if not extras:
+            args.command = argv[0]
+            return args
+    return parser.parse_args(argv)
+
+
 def run(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     try:
         report = args.fn(args)
     except _Disagreement as exc:

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import io
 import json
 import os
 import random
@@ -701,3 +703,101 @@ def test_module_entry_point():
         "invalid: component 1 has self-intersection -3, not -1\n"
     )
     assert "Traceback" not in completed.stderr
+
+
+#: Argv lists that reach each branch of ``cli._parse``: the top level, the
+#: command's own parser, and the fallback on leftovers.
+PARSE_CASES = [
+    [],
+    ["-h"],
+    ["--help"],
+    *([name, "-h"] for name in cli.build_parser().commands),
+    ["frobnicate"],
+    ["frobnicate", "--file", "x.cfg"],
+    ["zariski"],
+    ["zariski", "--file"],
+    ["zariski", "--file", "x.cfg"],
+    ["zariski", "--file", "x.cfg", "--bogus"],
+    ["zariski", "--file", "x.cfg", "stray"],
+    ["blowup", "--node", "x", "--file", "x.cfg"],
+    ["blowup", "--node", "-1", "--file", "x.cfg"],
+    ["--", "zariski", "--file", "x.cfg"],
+    ["zariski", "--", "--file", "x.cfg"],
+    ["zariski", "--file", "x.cfg", "--"],
+    ["zariski", "--file=x.cfg"],
+    ["zariski", "--fi", "x.cfg"],
+    ["zariski", "--file", "x.cfg", "--json", "--json"],
+    ["zariski", "--h"],
+    ["--json", "zariski", "--file", "x.cfg"],
+    ["fixed", "--file", "x.cfg", "--rho", "1", "--nu", "2"],
+    ["blowdown", "--file", "x.cfg", "--component", "2", "--drop-reality"],
+    ["intnums", "--file", "x.cfg", "--rho", "1", "--r", "-2"],
+    ["oracle-check"],
+    ["fixtures", "--seed", "1", "--count", "2"],
+]
+
+
+def parse_outcome(parse, argv: list[str]) -> tuple:
+    """``vars`` of the namespace ``parse(argv)`` returns, or the exit code and
+    the stdout and stderr of the ``SystemExit`` it raises."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            args = parse(argv)
+    except SystemExit as exc:
+        return ("exit", exc.code, out.getvalue(), err.getvalue())
+    return ("args", vars(args), out.getvalue(), err.getvalue())
+
+
+@pytest.mark.parametrize("argv", PARSE_CASES, ids=" ".join)
+def test_parse_matches_the_full_parser(argv):
+    assert parse_outcome(cli._parse, argv) == parse_outcome(
+        cli.build_parser().parse_args, argv
+    )
+
+
+def test_module_entry_point_matches_transcript_and_run(capsys):
+    """``python -m anticycle.cli`` parses ``sys.argv``; its stdout and exit
+    code match the golden transcript, or the in-process run."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    transcript = Path(__file__).parent / "golden" / "cli_transcript.json"
+    recorded = {
+        tuple(entry["argv"]): entry
+        for entry in json.loads(transcript.read_text(encoding="utf-8"))
+    }
+    golden = [
+        recorded[argv]
+        for argv in (
+            ("zariski", "--file", "fixtureC.cfg"),
+            ("fixed", "--rho", "1", "--file", "fixtureC-constfinite.cfg", "--json"),
+            ("adim", "--file", "fixtureC-constfinite.cfg"),
+        )
+    ]
+    assert [entry["exit"] for entry in golden] == [0, 0, 3]
+    cases = [
+        ([fixture_path(a) if a.endswith(".cfg") else a for a in entry["argv"]], entry)
+        for entry in golden
+    ]
+    cases += [(["-h"], None), (["frobnicate"], None)]
+    # started together: each pays the interpreter's start-up
+    processes = [
+        subprocess.Popen(
+            [sys.executable, "-m", "anticycle.cli", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+        )
+        for argv, _ in cases
+    ]
+    for (argv, entry), process in zip(cases, processes):
+        stdout, stderr = process.communicate(timeout=60)
+        if entry is None:
+            with pytest.raises(SystemExit) as exited:
+                cli.run(argv)
+            captured = capsys.readouterr()
+            expected = (exited.value.code, captured.out, captured.err)
+        else:
+            expected = (entry["exit"], entry["stdout"], "")
+        assert (process.returncode, stdout, stderr) == expected
