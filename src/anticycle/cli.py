@@ -31,9 +31,9 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import random
 import sys
+from json.encoder import encode_basestring_ascii as _json_str
 from typing import Any, Sequence
 
 from . import config_io
@@ -131,25 +131,56 @@ def _derivation_fields(derivation: Derivation) -> dict[str, Any]:
 
 
 def _flatten(value: Any, key: str, lines: list[str]) -> None:
-    if isinstance(value, dict):
+    kind = type(value)
+    if kind is dict:
         for sub, item in value.items():
             _flatten(item, f"{key}.{sub}" if key else sub, lines)
-    elif isinstance(value, list) and any(isinstance(v, dict) for v in value):
+    elif kind is list and any(type(v) is dict for v in value):
         for i, item in enumerate(value):
             _flatten(item, f"{key}[{i}]", lines)
-    elif isinstance(value, list):
+    elif kind is list:
         lines.append(f"{key}: ({', '.join(str(v) for v in value)})")
     elif value is None:
         lines.append(f"{key}: absent")
-    elif isinstance(value, bool):
+    elif kind is bool:
         lines.append(f"{key}: {'true' if value else 'false'}")
     else:
         lines.append(f"{key}: {value}")
 
 
+def _json(value: Any, indent: str) -> str:
+    """``json.dumps(value, indent=2)`` for the types a report holds: dict
+    (with str keys), list, str, int, bool and None; any other type raises
+    ``TypeError``.  ``indent`` is the indentation of the line ``value``
+    starts on.  The stdlib's own encoder runs in pure Python whenever an
+    indent is set."""
+    kind = type(value)
+    if kind is str:
+        return _json_str(value)
+    if kind is int:
+        return repr(value)
+    if kind is bool:
+        return "true" if value else "false"
+    if value is None:
+        return "null"
+    if kind is dict:
+        if not value:
+            return "{}"
+        inner = indent + "  "
+        items = [f"{_json_str(k)}: {_json(v, inner)}" for k, v in value.items()]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+    if kind is list:
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        items = [_json(v, inner) for v in value]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
 def _emit(report: dict[str, Any], as_json: bool) -> None:
     if as_json:
-        print(json.dumps(report, indent=2))
+        print(_json(report, ""))
     else:
         lines: list[str] = []
         _flatten(report, "", lines)
@@ -163,7 +194,7 @@ def _emit(report: dict[str, Any], as_json: bool) -> None:
 
 def _load_data(path: str) -> config_io.ConfigData:
     try:
-        with open(path, "rb") as handle:
+        with open(path, "rb", buffering=0) as handle:
             raw = handle.read()
     except OSError as exc:
         raise _CommandError(f"cannot read {path}: {exc.strerror}") from None

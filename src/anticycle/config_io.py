@@ -75,13 +75,16 @@ def _parse_fraction(raw: str, line_no: int) -> Fraction:
         raise ConfigError(f"line {line_no}: bad rational {raw!r}") from None
 
 
+_ONE = Fraction(1)
+
+
 def _parse_family(raw: str, line_no: int) -> PicZeroFamily:
     words = raw.split()
     if words == ["nonconstant"]:
         return PicZeroFamily.nonconstant()
     if len(words) == 3 and words[:2] == ["const", "unity"]:
         angle = _parse_fraction(words[2], line_no)
-        return PicZeroFamily.constant(PicZeroElement(Fraction(1), angle))
+        return PicZeroFamily.constant(PicZeroElement(_ONE, angle))
     if len(words) == 5 and words[0] == "const" and words[1] == "modulus" and words[3] == "angle":
         modulus = _parse_fraction(words[2], line_no)
         angle = _parse_fraction(words[4], line_no)

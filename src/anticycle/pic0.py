@@ -34,11 +34,20 @@ class PicZeroElement:
     angle: Fraction
 
     def __post_init__(self) -> None:
-        modulus = Fraction(self.modulus)
+        # a Fraction field, and an angle already in [0, 1), is kept as
+        # given: rebuilding it would only copy it
+        modulus = self.modulus
+        if type(modulus) is not Fraction:
+            modulus = Fraction(modulus)
         if modulus <= 0:
             raise ValueError("modulus must be positive")
+        angle = self.angle
+        if type(angle) is not Fraction:
+            angle = Fraction(angle)
+        if not 0 <= angle.numerator < angle.denominator:
+            angle %= 1
         object.__setattr__(self, "modulus", modulus)
-        object.__setattr__(self, "angle", Fraction(self.angle) % 1)
+        object.__setattr__(self, "angle", angle)
 
     @staticmethod
     def unity_root(angle: Fraction | str | int) -> "PicZeroElement":

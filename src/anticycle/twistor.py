@@ -237,22 +237,14 @@ def reducible_fibers(pencil: TwistorPencil) -> tuple[FiberDescriptor, ...]:
     if k is None:
         raise InvariantViolation("reducible fibers require a real cycle base")
     m = config.m
+    names = [_component_name(j, k) for j in range(m)]
+    # ring[j] names component j mod m, for every index the halves reach
+    ring = [names[j % m] for j in range(3 * k)]
     descriptors = []
     for i in range(1, k + 1):
-        node = i - 1
-        half_plus = tuple(
-            _component_name((node + 1 + t) % m, k) for t in range(k)
-        )
-        half_minus = tuple(
-            _component_name((node + 1 + k + t) % m, k) for t in range(k)
-        )
-        joins = (
-            (_component_name(node, k), _component_name((node + 1) % m, k)),
-            (
-                _component_name((node + k) % m, k),
-                _component_name((node + k + 1) % m, k),
-            ),
-        )
+        half_plus = tuple(ring[i : i + k])
+        half_minus = tuple(ring[i + k : i + 2 * k])
+        joins = ((ring[i - 1], ring[i]), (ring[i + k - 1], ring[i + k]))
         descriptors.append(
             FiberDescriptor(
                 index=i,

@@ -130,6 +130,10 @@ class TestZariskiCommand:
         code, out = run_cli(capsys, "zariski", "--file", "/nonexistent.cfg")
         assert code == 2
 
+    def test_directory_exits_two(self, tmp_path, capsys):
+        code, out = run_cli(capsys, "zariski", "--file", str(tmp_path))
+        assert (code, out) == (2, f"cannot read {tmp_path}: Is a directory\n")
+
 
 class TestSurgeryCommands:
     def test_blowup_node(self, capsys):

@@ -124,3 +124,49 @@ class TestGroupLaws:
         other = power(e, b)
         assert combined.modulus == split.modulus * other.modulus
         assert combined.angle == (split.angle + other.angle) % 1
+
+
+_moduli = st.one_of(
+    st.fractions(min_value=F(1, 12), max_value=5, max_denominator=12),
+    st.sampled_from([F(1), F(2), F(1, 2)]),
+)
+#: Negative, in [0, 1), exactly 0 and 1, and at least 1.
+_any_angles = st.one_of(
+    st.fractions(min_value=-3, max_value=3, max_denominator=12),
+    st.sampled_from([F(0), F(1), F(-1), F(2), F(1, 2), F(-1, 2), F(3, 2)]),
+)
+
+
+@st.composite
+def _spelled(draw, values):
+    """A value and two spellings of it: a Fraction, a str, or an int where
+    the value is whole."""
+    value = draw(values)
+    spellings = [value, str(value)] + ([int(value)] if value.denominator == 1 else [])
+    return value, draw(st.sampled_from(spellings)), draw(st.sampled_from(spellings))
+
+
+class TestElementFields:
+    @settings(max_examples=200, deadline=None)
+    @given(_spelled(_moduli), _spelled(_any_angles))
+    def test_fields_are_reduced_fractions_whatever_the_spelling(self, modulus, angle):
+        m, m1, m2 = modulus
+        a, a1, a2 = angle
+        first, second = PicZeroElement(m1, a1), PicZeroElement(m2, a2)
+        for e in (first, second):
+            assert e.modulus == F(m) and type(e.modulus) is Fraction
+            assert e.angle == F(a) % 1 and type(e.angle) is Fraction
+        turned = PicZeroElement(m, a + 1)
+        assert first == second == turned
+        assert hash(first) == hash(second) == hash(turned)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        _spelled(st.fractions(min_value=-5, max_value=0, max_denominator=12)).map(
+            lambda spelled: spelled[1]
+        ),
+        st.sampled_from([F(1, 2), "1/2", 2, "x", "1/0", None]),
+    )
+    def test_nonpositive_modulus_raises_before_any_angle_error(self, modulus, angle):
+        with pytest.raises(ValueError, match="^modulus must be positive$"):
+            PicZeroElement(modulus, angle)
