@@ -310,7 +310,7 @@ def _cmd_fibers(args: argparse.Namespace) -> dict[str, Any]:
 def _cmd_intnums(args: argparse.Namespace) -> dict[str, Any]:
     pencil = config_io.build_pencil(_load_data(args.file), default_family=True)
     model = build_resolved_model(pencil)
-    values = m_class_intersections(model, args.r, args.rho)
+    values = m_class_intersections(model, args.rho)
     return {
         "r": args.r,
         "rho": args.rho,

@@ -234,12 +234,13 @@ def reducible_fibers(pencil: TwistorPencil) -> tuple[FiberDescriptor, ...]:
     if config is None:
         return ()
     k = config.real_k
-    if k is None:
-        raise InvariantViolation("reducible fibers require a real cycle base")
-    m = config.m
-    names = [_component_name(j, k) for j in range(m)]
-    # ring[j] names component j mod m, for every index the halves reach
-    ring = [names[j % m] for j in range(3 * k)]
+    if k is None or config.m != 2 * k:
+        raise InvariantViolation(
+            "reducible fibers require a real cycle base of 2k components"
+        )
+    names = [_component_name(j, k) for j in range(2 * k)]
+    # ring[j] names component j mod 2k, for every index the halves reach
+    ring = names + names[:k]
     descriptors = []
     for i in range(1, k + 1):
         half_plus = tuple(ring[i : i + k])
@@ -328,8 +329,6 @@ def normalized_model(pencil: TwistorPencil, z: ZariskiDecomposition) -> Resolved
     pencil, z = normalize_rotation(pencil, z)
     config = z.config
     k = config.real_k
-    if z.l[:k] != z.l[k:]:
-        raise InvariantViolation("nef coefficients are not conjugation-symmetric")
     bit = pencil.resolution[0] if pencil.resolution else 0
     cycle_order = (
         [_curve(1), _delta()]
@@ -355,41 +354,28 @@ def normalized_model(pencil: TwistorPencil, z: ZariskiDecomposition) -> Resolved
     )
 
 
-def m_class_intersections(model: ResolvedModel, r: int, rho: int) -> dict[str, int]:
+def m_class_intersections(model: ResolvedModel, rho: int) -> dict[str, int]:
     """Intersection numbers of M(r, rho) with the 2k + 2 model curves.
 
     M(r, rho) pulls back degree r from the pencil base and adds rho copies
     of the half-integral nef divisor m0*P spread over the vertical
     divisors.  Fiber curves are contracted by the pencil map, so r never
-    enters; each strict transform pairs through its self-intersection
-    inside its half plus the one transverse neighbour, and the two
-    exceptional curves balance the reducible fibers to total degree zero.
-    The computed values are certified against the closed forms
-    -rho*(l1 - l2) and +rho*(l1 - l2).
+    enters.  The carrier C_{1,2} (bit 0) or C_{1,1} (bit 1) has degree
+    -rho*(l1 - l2) or rho*(l1 - l2), Delta_1 balances it, the conjugates
+    match (l is conjugation-symmetric) and every other curve has degree 0.
+    This is the local rule in closed form: P.C_2 = 0 turns rho*(l2*(1 + s2)
+    + l3) into -rho*(l1 - l2), and P.C_1 = 0 does the same for C_{1,1}.
+    So of :func:`prove_E_fixed`'s steps only ``seed``, and through it
+    ``restriction``, can fail, exactly when rho <= 0.
     """
-    selfs = model.base.self_ints
-    l, m = model.l, model.base.m
+    l = model.l
     values = {name: 0 for name in model.cycle_order}
     if model.node_bit == 0:
-        # Exceptional curve sits in the fiber of E_2: C_{1,2} carries its
-        # self-intersection inside the plus half (raised by the resolution)
-        # against E_2 plus one transverse point on E_3.
-        a2 = -selfs[1]
-        seed = rho * (l[1] * (1 - a2) + l[2 % m])
-        closed = -rho * (l[0] - l[1])
-        carrier, balance = _curve(2), _delta()
+        carrier, value = _curve(2), -rho * (l[0] - l[1])
     else:
-        a1 = -selfs[0]
-        seed = rho * (l[0] * (1 - a1) + l[m - 1])
-        closed = rho * (l[0] - l[1])
-        carrier, balance = _curve(1), _delta()
-    if seed != closed:
-        raise InvariantViolation(
-            f"local intersection rule gives {seed}, closed form gives {closed}"
-        )
-    for conj in (False, True):
-        values[conjugate_name(carrier) if conj else carrier] = seed
-        values[conjugate_name(balance) if conj else balance] = -seed
+        carrier, value = _curve(1), rho * (l[0] - l[1])
+    for name, degree in ((carrier, value), (_delta(), -value)):
+        values[name] = values[conjugate_name(name)] = degree
     return values
 
 
@@ -400,11 +386,11 @@ def prove_E_fixed(model: ResolvedModel, r: int, rho: int) -> Derivation:
     curve of negative degree seeds the base locus, zero-degree curves
     propagate it around the cycle, the reducible fiber closes the cycle
     up, and the restriction isomorphism twists the system down until the
-    vertical divisor is forced into every member.  The derivation holds
-    exactly when rho > 0 (degrees vanish identically at rho = 0 and flip
-    sign for rho < 0).
+    vertical divisor is forced into every member.  Only ``seed``, and
+    through it ``restriction``, can fail, exactly when rho <= 0; ``chain``
+    and ``fiber`` hold by construction.  ``r`` enters only the conclusion.
     """
-    values = m_class_intersections(model, r, rho)
+    values = m_class_intersections(model, rho)
     seed = _curve(2) if model.node_bit == 0 else _delta()
     partner = _delta() if model.node_bit == 0 else _curve(1)
     excluded = {seed, conjugate_name(seed), partner, conjugate_name(partner)}
@@ -579,6 +565,7 @@ def _elliptic_verdict(pencil: TwistorPencil) -> AdimReport:
 
 
 def _fibration_derivation(z: ZariskiDecomposition, tau: int) -> Derivation:
+    """The a = 2 derivation; every step holds by construction (P != 0, d = 0)."""
     assert z.m0 is not None and z.l is not None
     steps = (
         DerivationStep(
@@ -614,6 +601,9 @@ def _fibration_derivation(z: ZariskiDecomposition, tau: int) -> Derivation:
 def _fixed_component_derivation(
     pencil: TwistorPencil, z: ZariskiDecomposition, tau: int
 ) -> Derivation:
+    """The a = 1 derivation; ``normalize``, ``chain`` and ``fiber`` hold by
+    construction, and only ``seed``, and through it ``restriction`` and
+    ``dimension``, can fail, exactly when rho <= 0 (here rho = tau >= 1)."""
     model = normalized_model(pencil, z)
     fixed = prove_E_fixed(model, 1, tau)
     normalize_step = DerivationStep(

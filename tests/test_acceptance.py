@@ -8,6 +8,7 @@ anywhere.  Each test prints ``PASS criterion-N: <summary>`` so a plain
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -155,19 +156,28 @@ def test_criterion_5_smooth_blowup_kills_nef_part():
 
 
 def test_criterion_6_intersection_closed_forms():
-    """Model intersection numbers match -rho(l1-l2) / +rho(l1-l2)."""
+    """Model intersection numbers match -rho(l1-l2) / +rho(l1-l2), and the
+    local rule: self-intersection inside the half plus one neighbour."""
     def check(pencil: TwistorPencil) -> None:
         normalized, _ = normalize_rotation(pencil, zariski_decompose(pencil.base))
-        model = build_resolved_model(normalized)
-        l1, l2 = model.l[0], model.l[1]
-        for rho in range(-3, 4):
-            for r in range(-2, 3):
-                values = m_class_intersections(model, r, rho)
-                carrier = (
-                    "C_{1,2}" if model.node_bit == 0 else "C_{1,1}"
-                )
+        k = normalized.base.real_k
+        for bit in (0, 1):
+            resolution = (bit,) + (0,) * (k - 1)
+            model = build_resolved_model(replace(normalized, resolution=resolution))
+            s, l, m = model.base.self_ints, model.l, model.base.m
+            l1, l2 = l[0], l[1]
+            for rho in range(-3, 4):
+                values = m_class_intersections(model, rho)
+                if model.node_bit == 0:
+                    # C_{1,2} in the fiber of E_2, raised by the resolution,
+                    # plus its transverse neighbour C_3
+                    carrier = "C_{1,2}"
+                    local = rho * (l[1] * (1 + s[1]) + l[2 % m])
+                else:
+                    carrier = "C_{1,1}"
+                    local = rho * (l[0] * (1 + s[0]) + l[m - 1])
                 sign = -1 if model.node_bit == 0 else 1
-                assert values[carrier] == sign * rho * (l1 - l2)
+                assert values[carrier] == local == sign * rho * (l1 - l2)
                 assert values["Delta_1"] == -sign * rho * (l1 - l2)
                 fiber_total = values["Delta_1"] + values[carrier]
                 assert fiber_total == 0
@@ -179,6 +189,8 @@ def test_criterion_6_intersection_closed_forms():
                         "~Delta_1",
                     ):
                         assert value == 0
+                for name in (carrier, "Delta_1"):
+                    assert values[f"~{name}"] == values[name]
 
     check(
         TwistorPencil(
@@ -199,7 +211,11 @@ def test_criterion_6_intersection_closed_forms():
         )
         check(pencil)
         produced += 1
-    report(6, "closed forms hold on Fixture C and 50 random bases, rho in -3..3")
+    report(
+        6,
+        "closed forms and the local rule agree on Fixture C and 50 random "
+        "bases, both node bits, rho in -3..3",
+    )
 
 
 def test_criterion_7_chi_identity():

@@ -163,6 +163,18 @@ class TestReducibleFibers:
             assert conjugate_name(a) == abar
             assert conjugate_name(b) == bbar
 
+    @pytest.mark.parametrize(
+        "self_ints, k", [((-1, -1), 3), ((-1, -4, -1), 2)], ids=["m<k", "k<m!=2k"]
+    )
+    def test_base_without_2k_components_rejected(self, self_ints, k):
+        pencil = TwistorPencil(
+            n=5,
+            base=CycleConfig(self_ints, real_k=k, n=5),
+            family=PicZeroFamily.nonconstant(),
+        )
+        with pytest.raises(InvariantViolation):
+            reducible_fibers(pencil)
+
     def test_halves_partition_cycle(self):
         pencil = pencil_c()
         m = pencil.cycle.m
@@ -314,32 +326,24 @@ class TestNormalize:
 class TestIntersections:
     def test_fixture_c_rho_one(self):
         model = build_resolved_model(pencil_c())
-        values = m_class_intersections(model, 0, 1)
+        values = m_class_intersections(model, 1)
         assert values["C_{1,2}"] == -1
         assert values["Delta_1"] == 1
         assert values["C_{1,1}"] == 0
 
     def test_rho_zero_all_vanish(self):
         model = build_resolved_model(pencil_c())
-        for r in (-2, 0, 5):
-            values = m_class_intersections(model, r, 0)
-            assert set(values.values()) == {0}
+        assert set(m_class_intersections(model, 0).values()) == {0}
 
     def test_rho_seven_scales(self):
         model = build_resolved_model(pencil_c())
-        values = m_class_intersections(model, 0, 7)
+        values = m_class_intersections(model, 7)
         assert values["C_{1,2}"] == -7
         assert values["Delta_1"] == 7
 
-    def test_independent_of_r(self):
-        model = build_resolved_model(pencil_c())
-        assert m_class_intersections(model, -3, 2) == m_class_intersections(
-            model, 11, 2
-        )
-
     def test_reality_symmetry(self):
         model = build_resolved_model(pencil_c())
-        values = m_class_intersections(model, 0, 3)
+        values = m_class_intersections(model, 3)
         for name, value in values.items():
             assert values[conjugate_name(name)] == value
 
@@ -349,7 +353,7 @@ class TestIntersections:
         model = build_resolved_model(
             TwistorPencil(n=5, base=base, family=fam, resolution=(1, 0))
         )
-        values = m_class_intersections(model, 0, 1)
+        values = m_class_intersections(model, 1)
         assert values["C_{1,1}"] == 1
         assert values["Delta_1"] == -1
         assert values["C_{1,2}"] == 0
@@ -465,10 +469,7 @@ class TestAlgebraicDimension:
             )
             if validate_pencil(pencil):
                 continue
-            try:
-                report = algebraic_dimension(pencil)
-            except InvariantViolation:
-                continue
+            report = algebraic_dimension(pencil)
             if report.verdict == VERDICT_A2:
                 assert pencil.n == 4
             if report.verdict == VERDICT_INCONSISTENT:
@@ -490,6 +491,8 @@ class TestAlgebraicDimension:
                     continue
                 report = algebraic_dimension(pencil)
                 z = report.decomposition
+                if z.l is not None:
+                    assert z.l[:k] == z.l[k:], half
                 verdicts[report.verdict] += 1
                 if report.verdict == VERDICT_A2:
                     assert n == 4, half
@@ -525,6 +528,8 @@ class TestAlgebraicDimension:
                 continue
             report = algebraic_dimension(pencil)
             z = report.decomposition
+            if z.l is not None:
+                assert z.l[:5] == z.l[5:], half
             verdicts[report.verdict] += 1
             if report.verdict == VERDICT_A2:
                 a2_n.add(n)
