@@ -295,9 +295,9 @@ def _cmd_fibers(args: argparse.Namespace) -> dict[str, Any]:
         "fibers": [
             {
                 "index": f.index,
-                "line": f.line,
-                "s_plus": f.s_plus,
-                "s_minus": f.s_minus,
+                "line": f"L{f.index}",
+                "s_plus": f"S{f.index}+",
+                "s_minus": f"S{f.index}-",
                 "joins": [f"{a}*{b}" for a, b in f.joins],
                 "half_plus": list(f.half_plus),
                 "half_minus": list(f.half_minus),

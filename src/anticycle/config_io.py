@@ -9,7 +9,7 @@ per line, ``#`` starting a comment.  Recognized keys:
     self        bracketed self-intersections of one real half, e.g. [-1, -4]
     selfints    bracketed self-intersections of a full non-real cycle
     family      "const unity p/q" | "const modulus a/b angle p/q" | "nonconstant"
-    resolution  bracketed resolution bits, one per node, e.g. [0, 0]
+    resolution  cycle bases only: bracketed bits, one per node, e.g. [0, 0]
 
 Exactly one of ``self``/``selfints`` must appear; unknown or duplicate
 keys are rejected with the offending line number.
@@ -151,10 +151,9 @@ def render_config(data: ConfigData) -> str:
 
 
 def render_family(family: PicZeroFamily) -> str:
-    if not family.is_constant:
-        return "nonconstant"
     element = family.element
-    assert element is not None
+    if element is None:
+        return "nonconstant"
     if element.modulus == 1:
         return f"const unity {element.angle}"
     return f"const modulus {element.modulus} angle {element.angle}"
@@ -190,9 +189,9 @@ def build_pencil(data: ConfigData, *, default_family: bool = False) -> TwistorPe
     if data.base == "elliptic":
         if data.n is None:
             raise ConfigError("an elliptic base requires n")
-        if not family.is_constant or family.element is None:
+        if not family.is_constant:
             raise ConfigError("an elliptic base requires a constant family")
-        return TwistorPencil(data.n, EllipticBase(family.element), family, None)
+        return TwistorPencil(data.n, EllipticBase(), family, data.resolution)
     config = build_cycle(data)
     if data.n is None:
         raise ConfigError("a pencil over a cycle requires n")

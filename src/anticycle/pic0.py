@@ -8,8 +8,8 @@ element has finite order precisely when its modulus is one, and the order
 is then the denominator of the reduced angle.
 
 A family records how the restriction of a line bundle varies over a pencil
-parameter: either constant (one element) or nonconstant (optionally with
-witnessing samples).
+parameter: constant exactly when it carries its one element, nonconstant
+otherwise (optionally with witnessing samples).
 """
 
 from __future__ import annotations
@@ -56,23 +56,27 @@ class PicZeroElement:
 
 @dataclass(frozen=True)
 class PicZeroFamily:
-    """A constant or nonconstant family of degree-zero bundles."""
+    """A constant or nonconstant family of degree-zero bundles.
 
-    kind: str
+    Constancy is stored once, as ``element``: a constant family carries its
+    one element, a nonconstant family carries ``None`` (and may carry
+    witnessing ``samples``).
+    """
+
     element: PicZeroElement | None = None
     samples: tuple[PicZeroElement, ...] = field(default=())
 
     @staticmethod
     def constant(element: PicZeroElement) -> "PicZeroFamily":
-        return PicZeroFamily("constant", element=element)
+        return PicZeroFamily(element)
 
     @staticmethod
     def nonconstant(samples: tuple[PicZeroElement, ...] = ()) -> "PicZeroFamily":
-        return PicZeroFamily("nonconstant", samples=tuple(samples))
+        return PicZeroFamily(samples=tuple(samples))
 
     @property
     def is_constant(self) -> bool:
-        return self.kind == "constant"
+        return self.element is not None
 
 
 @dataclass(frozen=True)
@@ -106,9 +110,7 @@ def family_profile(family: PicZeroFamily) -> FamilyProfile:
     A family declared nonconstant whose samples are all equal is rejected
     as inconsistent input.
     """
-    if family.is_constant:
-        if family.element is None:
-            raise ValueError("constant family must carry its element")
+    if family.element is not None:
         tau = order(family.element)
         if tau is None:
             return FamilyProfile(CONSTANT_INFINITE)

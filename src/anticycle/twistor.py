@@ -29,7 +29,6 @@ from .cycles import (
 from .pic0 import (
     CONSTANT_FINITE,
     CONSTANT_INFINITE,
-    PicZeroElement,
     PicZeroFamily,
     family_profile,
     order,
@@ -59,9 +58,11 @@ class InvariantViolation(ValueError):
 
 @dataclass(frozen=True)
 class EllipticBase:
-    """Smooth elliptic base locus, carrying the normal bundle of the curve."""
+    """Smooth elliptic base locus.
 
-    normal_bundle: PicZeroElement
+    Its normal bundle is the element of the pencil's constant restriction
+    family, ``pencil.family.element``; the base stores no copy of it.
+    """
 
 
 @dataclass(frozen=True)
@@ -86,12 +87,13 @@ class TwistorPencil:
 
 @dataclass(frozen=True)
 class FiberDescriptor:
-    """One reducible member: two halves glued along a twistor line."""
+    """One reducible member: two halves glued along a twistor line.
+
+    The halves S{index}+ and S{index}- and the line L{index} are named by
+    ``index`` alone, so the descriptor stores no names for them.
+    """
 
     index: int
-    s_plus: str
-    s_minus: str
-    line: str
     joins: tuple[tuple[str, str], tuple[str, str]]
     half_plus: tuple[str, ...]
     half_minus: tuple[str, ...]
@@ -104,15 +106,14 @@ class ResolvedModel:
     The base cycle resolves into a cycle of 2k + 2 curves: the strict
     transforms of the components together with the two exceptional curves
     of the small resolutions over the first node and its conjugate.  Every
-    vertical divisor E_j restricts to an irreducible fiber except the one
-    recorded in ``reducible_divisor``, whose fiber gains the exceptional
-    curve.
+    vertical divisor E_j restricts to an irreducible fiber except one, E_2
+    (bit 0) or E_1 (bit 1): its ``fiber_composition`` entry also holds the
+    exceptional curve Delta_1.
     """
 
     base: CycleConfig
     l: tuple[int, ...]
     cycle_order: tuple[str, ...]
-    reducible_divisor: str
     fiber_composition: tuple[tuple[str, tuple[str, ...]], ...]
     node_bit: int
 
@@ -198,13 +199,8 @@ def validate_pencil(pencil: TwistorPencil) -> list[str]:
     else:
         if pencil.resolution is not None:
             issues.append("resolution bits are only meaningful for cycle bases")
-        if not pencil.family.is_constant or pencil.family.element is None:
+        if not pencil.family.is_constant:
             issues.append("smooth elliptic base forces a constant family")
-        elif (
-            isinstance(pencil.base, EllipticBase)
-            and pencil.family.element != pencil.base.normal_bundle
-        ):
-            issues.append("family element disagrees with the normal bundle")
     return issues
 
 
@@ -246,17 +242,7 @@ def reducible_fibers(pencil: TwistorPencil) -> tuple[FiberDescriptor, ...]:
         half_plus = tuple(ring[i : i + k])
         half_minus = tuple(ring[i + k : i + 2 * k])
         joins = ((ring[i - 1], ring[i]), (ring[i + k - 1], ring[i + k]))
-        descriptors.append(
-            FiberDescriptor(
-                index=i,
-                s_plus=f"S{i}+",
-                s_minus=f"S{i}-",
-                line=f"L{i}",
-                joins=joins,
-                half_plus=half_plus,
-                half_minus=half_minus,
-            )
-        )
+        descriptors.append(FiberDescriptor(i, joins, half_plus, half_minus))
     return tuple(descriptors)
 
 
@@ -348,7 +334,6 @@ def normalized_model(pencil: TwistorPencil, z: ZariskiDecomposition) -> Resolved
         base=config,
         l=z.l,
         cycle_order=tuple(cycle_order),
-        reducible_divisor=_divisor(reducible),
         fiber_composition=tuple(fibers),
         node_bit=bit,
     )
@@ -531,8 +516,6 @@ def algebraic_dimension(pencil: TwistorPencil) -> AdimReport:
 
 
 def _elliptic_verdict(pencil: TwistorPencil) -> AdimReport:
-    base = pencil.base
-    assert isinstance(base, EllipticBase)
     if pencil.n > 4:
         return AdimReport(
             verdict=VERDICT_A1,
@@ -543,7 +526,7 @@ def _elliptic_verdict(pencil: TwistorPencil) -> AdimReport:
                 "algebraic dimension 1",
             ),
         )
-    tau = order(base.normal_bundle)
+    tau = order(pencil.family.element)
     if tau is not None:
         return AdimReport(
             verdict=VERDICT_A2,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import contextlib
 import itertools
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 
 from anticycle import cycles
 from anticycle.birational import blow_up_node
-from anticycle.config_io import build_cycle, parse_config
+from anticycle.config_io import build_cycle, parse_config, random_cycle_walk
 from anticycle.cycles import (
     CycleConfig,
     QDivisor,
@@ -180,6 +181,28 @@ class TestAgainstOracle:
         assert fast.l == slow.l
         assert fast.d == slow.d
         assert fast == slow
+
+
+class TestOracleLimit:
+    """The oracle's bound, m <= 12, from both sides: every other oracle
+    comparison stays at m <= 10."""
+
+    def test_thirteen_components_rejected(self):
+        with pytest.raises(ValueError, match=r"^oracle limited to m <= 12 components$"):
+            zariski_oracle(CycleConfig.plain((-2,) * 13))
+
+    def test_twelve_component_walk_cycle(self):
+        config = random_cycle_walk(random.Random(12), real=True, blowups=4)
+        assert config.m == 12
+        assert zariski_decompose(config) == zariski_oracle(config)
+
+    def test_twelve_component_arbitrary_cycle(self):
+        rng = random.Random(12)
+        config = CycleConfig.plain(tuple(rng.randint(-6, 3) for _ in range(12)))
+        divisor = [Fraction(rng.randint(0, 24), 4) for _ in range(12)]
+        fast = zariski_decompose(config, divisor)
+        assert not fast.p.is_zero and not fast.n_part.is_zero
+        assert fast == zariski_oracle(config, divisor)
 
 
 class TestDihedralEquivariance:

@@ -369,6 +369,19 @@ class TestModelCommands:
         assert code == 0
         assert "verdict: a1" in out
 
+    @pytest.mark.parametrize(
+        "command",
+        [("fibers",), ("intnums", "--rho", "1"), ("fixed", "--rho", "1"), ("adim",)],
+    )
+    def test_elliptic_resolution_line_is_invalid(self, command, tmp_path, capsys):
+        elliptic = tmp_path / "elliptic-resolution.cfg"
+        elliptic.write_text(
+            "base = elliptic\nn = 4\nfamily = const unity 1/4\nresolution = [0, 1]\n"
+        )
+        code, out = run_cli(capsys, *command, "--file", str(elliptic))
+        assert code == cli.EXIT_INVALID == 2
+        assert out == "invalid: resolution bits are only meaningful for cycle bases\n"
+
     def test_adim_json_verdict_agrees(self, capsys):
         code, human = run_cli(
             capsys, "adim", "--file", fixture_path("fixtureC-constfinite.cfg")
@@ -403,6 +416,13 @@ class TestOracleCheck:
         assert code == 0
         assert "checked: 20" in out
         assert "agreements: 20" in out
+
+    def test_thirteen_components_exceed_the_oracle(self, tmp_path, capsys):
+        wide = tmp_path / "m13.cfg"
+        wide.write_text(f"selfints = [{', '.join(['-2'] * 13)}]\n")
+        code, out = run_cli(capsys, "oracle-check", "--file", str(wide))
+        assert code == cli.EXIT_INVALID == 2
+        assert out == "invalid: oracle limited to m <= 12 components\n"
 
     def test_requires_source(self, capsys):
         code, out = run_cli(capsys, "oracle-check")
@@ -784,7 +804,9 @@ def test_module_entry_point_matches_transcript_and_run(capsys):
         for entry in golden
     ]
     cases += [(["-h"], None), (["frobnicate"], None)]
-    # started together: each pays the interpreter's start-up
+    # started together: each pays the interpreter's start-up; every child is
+    # read to the end before the first assertion, so a failing case leaves
+    # no pipe open to surface later as another test's ResourceWarning
     processes = [
         subprocess.Popen(
             [sys.executable, "-m", "anticycle.cli", *argv],
@@ -795,8 +817,8 @@ def test_module_entry_point_matches_transcript_and_run(capsys):
         )
         for argv, _ in cases
     ]
-    for (argv, entry), process in zip(cases, processes):
-        stdout, stderr = process.communicate(timeout=60)
+    outputs = [process.communicate(timeout=60) for process in processes]
+    for (argv, entry), process, (stdout, stderr) in zip(cases, processes, outputs):
         if entry is None:
             with pytest.raises(SystemExit) as exited:
                 cli.run(argv)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -133,6 +134,15 @@ class TestDefiniteness:
         )
         for v in definiteness(m).kernel_basis:
             assert m.apply(v) == tuple(Fraction(0) for _ in v)
+
+
+class TestMinorCheckLimit:
+    def test_dim_seventeen_rejected(self):
+        identity = [[-1 if i == j else 0 for j in range(17)] for i in range(17)]
+        with pytest.raises(
+            ValueError, match=r"^principal-minor check limited to dim <= 16$"
+        ):
+            definiteness_by_minors(sym(identity))
 
 
 class TestSolveLinear:

@@ -100,18 +100,10 @@ class TestValidatePencil:
         bundle = PicZeroElement.unity_root(F(1, 4))
         pencil = TwistorPencil(
             n=4,
-            base=EllipticBase(bundle),
+            base=EllipticBase(),
             family=PicZeroFamily.constant(bundle),
         )
         assert validate_pencil(pencil) == []
-
-    def test_elliptic_family_must_match(self):
-        pencil = TwistorPencil(
-            n=4,
-            base=EllipticBase(PicZeroElement.unity_root(F(1, 4))),
-            family=PicZeroFamily.constant(PicZeroElement.unity_root(F(1, 3))),
-        )
-        assert validate_pencil(pencil)
 
 
 class TestReducibleFibers:
@@ -122,7 +114,7 @@ class TestReducibleFibers:
     def test_elliptic_has_none(self):
         bundle = PicZeroElement.unity_root(F(1, 4))
         pencil = TwistorPencil(
-            n=4, base=EllipticBase(bundle), family=PicZeroFamily.constant(bundle)
+            n=4, base=EllipticBase(), family=PicZeroFamily.constant(bundle)
         )
         assert reducible_fibers(pencil) == ()
 
@@ -237,8 +229,8 @@ class TestBuildModel:
         bit1 = build_resolved_model(
             TwistorPencil(n=5, base=base, family=fam, resolution=(1, 0))
         )
-        assert bit0.reducible_divisor == "E_2"
-        assert bit1.reducible_divisor == "E_1"
+        assert dict(bit0.fiber_composition)["E_2"] == ("Delta_1", "C_{1,2}")
+        assert dict(bit1.fiber_composition)["E_1"] == ("Delta_1", "C_{1,1}")
 
 
 class TestBuildModelNormalizes:
@@ -575,14 +567,14 @@ class TestAlgebraicDimension:
     def test_elliptic_branch(self):
         bundle = PicZeroElement.unity_root(F(1, 4))
         family = PicZeroFamily.constant(bundle)
-        n4 = TwistorPencil(n=4, base=EllipticBase(bundle), family=family)
+        n4 = TwistorPencil(n=4, base=EllipticBase(), family=family)
         assert algebraic_dimension(n4).verdict == VERDICT_A2
-        n6 = TwistorPencil(n=6, base=EllipticBase(bundle), family=family)
+        n6 = TwistorPencil(n=6, base=EllipticBase(), family=family)
         assert algebraic_dimension(n6).verdict == VERDICT_A1
         infinite = PicZeroElement(F(2), F(0))
         n4inf = TwistorPencil(
             n=4,
-            base=EllipticBase(infinite),
+            base=EllipticBase(),
             family=PicZeroFamily.constant(infinite),
         )
         assert algebraic_dimension(n4inf).verdict == VERDICT_A1
