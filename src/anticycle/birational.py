@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cycles import CycleConfig, zariski_decompose
+from .cycles import CycleConfig, cycle_dots, zariski_decompose
 
 __all__ = [
     "SurgeryInputError",
@@ -170,26 +170,21 @@ def contract_to_nef_model(
 ) -> tuple[CycleConfig, tuple[int, ...]] | None:
     """Contract (-1)-components until the full cycle itself is nef.
 
-    Repeatedly blows down the least-index (-1)-component while the negative
-    part is non-zero.  Returns the final configuration and the 0-based
-    components blown down, in order, when a nef model is reached, and
-    ``None`` when the nef part vanishes (no model exists) or the supply of
-    (-1)-components runs out.
+    Decomposes once, for the P = 0 test, then blows down the least-index
+    (-1)-component while some C.C_i < 0 (N = 0 iff P = C is nef).  Returns
+    the final configuration and the 0-based components blown down, in
+    order; ``None`` when P = 0 or the supply of (-1)-components runs out.
     """
-    z = zariski_decompose(config)
-    if z.p.is_zero:
+    if zariski_decompose(config).p.is_zero:
         return None
     steps: list[int] = []
-    while not z.n_part.is_zero:
-        target = next(
-            (i for i, s in enumerate(z.config.self_ints) if s == -1), None
-        )
+    while min(cycle_dots(config)) < 0:
+        target = next((i for i, s in enumerate(config.self_ints) if s == -1), None)
         if target is None:
             return None
         try:
-            result = blow_down(z.config, target)
+            config = blow_down(config, target).config
         except SurgeryInputError:
             return None
         steps.append(target)
-        z = zariski_decompose(result.config)
-    return z.config, tuple(steps)
+    return config, tuple(steps)

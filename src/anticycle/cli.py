@@ -10,7 +10,7 @@ leaves over: the cases where only it prints the top-level usage, help or
 "unrecognized arguments" error.
 
 Each subcommand returns its report, and :func:`run` renders it and sets
-every exit code: from the report's verdict, or from the exception that
+the exit code: from the report's verdict, or from the exception that
 ended the subcommand.  The codes are:
 
 - 0 success;
@@ -24,13 +24,17 @@ ended the subcommand.  The codes are:
   configuration is unrealizable);
 - 4 a computed Zariski decomposition failed its certification
   (``CertificationError``; an ``error:`` line names the condition), a
-  defect in the engine, never bad input.
+  defect in the engine, never bad input;
+- 141 standard output was closed before the report was written (128 +
+  SIGPIPE, as a shell reports a writer ended by a closed pipe); nothing
+  is printed on standard error.  Only :func:`main` sets this code.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import os
 import random
 import sys
 from json.encoder import encode_basestring_ascii as _json_str
@@ -74,6 +78,7 @@ EXIT_DISAGREEMENT = 1
 EXIT_INVALID = 2
 EXIT_INCONSISTENT = 3
 EXIT_UNCERTIFIED = 4
+EXIT_BROKEN_PIPE = 141
 
 
 class _CommandError(Exception):
@@ -503,7 +508,18 @@ def run(argv: Sequence[str] | None = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        try:
+            code = run()
+        finally:
+            # also after argparse's SystemExit, whose help may sit in the buffer
+            sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed standard output; point it at the null device so
+        # that the interpreter's last flush has nothing left to fail on
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_BROKEN_PIPE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

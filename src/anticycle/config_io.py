@@ -5,14 +5,15 @@ per line, ``#`` starting a comment.  Recognized keys:
 
     base        "cycle" (default) or "elliptic"
     n           number of plane summands (real configurations)
-    k           half-length of a real cycle
-    self        bracketed self-intersections of one real half, e.g. [-1, -4]
-    selfints    bracketed self-intersections of a full non-real cycle
+    k           cycle bases only: half-length of a real cycle
+    self        cycle bases only: self-intersections of one real half, e.g. [-1, -4]
+    selfints    cycle bases only: self-intersections of a full non-real cycle
     family      "const unity p/q" | "const modulus a/b angle p/q" | "nonconstant"
     resolution  cycle bases only: bracketed bits, one per node, e.g. [0, 0]
 
-Exactly one of ``self``/``selfints`` must appear; unknown or duplicate
-keys are rejected with the offending line number.
+A cycle base needs exactly one of ``self``/``selfints``, and an elliptic
+base takes none of the cycle-only keys; unknown or duplicate keys are
+rejected with the offending line number.
 """
 
 from __future__ import annotations
@@ -187,6 +188,8 @@ def build_pencil(data: ConfigData, *, default_family: bool = False) -> TwistorPe
             raise ConfigError("a 'family' line is required for this operation")
         family = PicZeroFamily.nonconstant()
     if data.base == "elliptic":
+        if (data.k, data.half_self_ints, data.self_ints) != (None, None, None):
+            raise ConfigError("k, self and selfints are only meaningful for cycle bases")
         if data.n is None:
             raise ConfigError("an elliptic base requires n")
         if not family.is_constant:

@@ -222,9 +222,14 @@ def _ones(m: int) -> QDivisor:
     return QDivisor.of([1] * m)
 
 
+def cycle_dots(config: CycleConfig) -> list[int]:
+    """C.C_i for every component: the stencil of the all-ones vector."""
+    return _stencil(config.self_ints, [1] * config.m)
+
+
 def _cycle_square(config: CycleConfig) -> int:
     """C^2 = 1^T M 1, read off the self-intersections."""
-    return sum(_stencil(config.self_ints, [1] * config.m))
+    return sum(cycle_dots(config))
 
 
 def _coerce_divisor(config: CycleConfig, divisor) -> QDivisor:

@@ -289,7 +289,7 @@ def normalize_rotation(
 
 def _rotated(values: tuple, shift: int) -> tuple:
     """``values`` read cyclically from position ``shift``."""
-    return tuple(values[(shift + t) % len(values)] for t in range(len(values)))
+    return values[shift:] + values[:shift]
 
 
 def build_resolved_model(pencil: TwistorPencil) -> ResolvedModel:

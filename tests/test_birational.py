@@ -14,7 +14,7 @@ from anticycle.birational import (
     blow_up_smooth,
     contract_to_nef_model,
 )
-from anticycle.cycles import CycleConfig, validate, zariski_decompose
+from anticycle.cycles import CycleConfig, ambient_n, validate, zariski_decompose
 from anticycle.config_io import random_small_config
 
 from conftest import seeded_corpus
@@ -182,7 +182,61 @@ class TestRoundTrips:
         assert down.config == nodal
 
 
+def _contract_redecomposing(config: CycleConfig, seen: set[str]):
+    """The contraction loop that re-decomposed after every blow-down, kept
+    as a reference; ``seen`` records the blow-downs to m <= 2 and each kind
+    of refused blow-down that ended the loop."""
+    z = zariski_decompose(config)
+    if z.p.is_zero:
+        return None
+    steps: list[int] = []
+    while not z.n_part.is_zero:
+        target = next(
+            (i for i, s in enumerate(z.config.self_ints) if s == -1), None
+        )
+        if target is None:
+            return None
+        try:
+            result = blow_down(z.config, target)
+        except SurgeryInputError as exc:
+            refusals = ("conjugate pair", "only component", "not -1")
+            seen.add(next(r for r in refusals if r in str(exc)))
+            return None
+        steps.append(target)
+        if result.config.m <= 2:
+            seen.add("m <= 2")
+        z = zariski_decompose(result.config)
+    return z.config, tuple(steps)
+
+
+def _arbitrary_cycle(rng: random.Random) -> CycleConfig:
+    """A cycle rich in (-1)-components: plain, real, or real in name only
+    (conjugate self-intersections may differ, which no validated cycle
+    allows; only there can a pair refusal end the loop)."""
+    values = (-1, -1, -1, -2, -3, 0, 1)
+    kind = rng.randrange(3)
+    if kind == 0:
+        return CycleConfig.plain(rng.choices(values, k=rng.randint(1, 8)))
+    k = rng.randint(1, 4)
+    half = rng.choices(values, k=k)
+    selfs = half + (half if kind == 1 else rng.choices(values, k=k))
+    return CycleConfig(tuple(selfs), real_k=k, n=ambient_n(CycleConfig.plain(selfs)))
+
+
 class TestContract:
+    def test_matches_redecomposing_loop(self):
+        seen: set[str] = set()
+        rng = random.Random(205)
+        configs = seeded_corpus(205, 300) + [_arbitrary_cycle(rng) for _ in range(3000)]
+        contracted = 0
+        for config in configs:
+            outcome = contract_to_nef_model(config)
+            assert outcome == _contract_redecomposing(config, seen), config
+            contracted += outcome is not None and outcome[1] != ()
+        # no loop reaches a lone (-1)-curve: P stays non-zero under blow-downs
+        assert seen == {"m <= 2", "conjugate pair", "not -1"}
+        assert contracted >= 100
+
     def test_fixture_d_contracts_to_a_shape(self, cycle_d):
         outcome = contract_to_nef_model(cycle_d)
         assert outcome is not None

@@ -382,6 +382,22 @@ class TestModelCommands:
         assert code == cli.EXIT_INVALID == 2
         assert out == "invalid: resolution bits are only meaningful for cycle bases\n"
 
+    @pytest.mark.parametrize(
+        "command",
+        [("fibers",), ("intnums", "--rho", "1"), ("fixed", "--rho", "1"), ("adim",)],
+    )
+    @pytest.mark.parametrize(
+        "lines", ["k = 2\nself = [-1, -4]\n", "selfints = [-1, -4]\n", "k = 2\n"]
+    )
+    def test_elliptic_cycle_keys_are_invalid(self, command, lines, tmp_path, capsys):
+        elliptic = tmp_path / "elliptic-cycle.cfg"
+        elliptic.write_text(
+            "base = elliptic\nn = 4\n" + lines + "family = const unity 1/4\n"
+        )
+        code, out = run_cli(capsys, *command, "--file", str(elliptic))
+        assert code == cli.EXIT_INVALID == 2
+        assert out == "invalid: k, self and selfints are only meaningful for cycle bases\n"
+
     def test_adim_json_verdict_agrees(self, capsys):
         code, human = run_cli(
             capsys, "adim", "--file", fixture_path("fixtureC-constfinite.cfg")
@@ -551,7 +567,7 @@ class TestDecompositionsPerCommand:
             capsys.readouterr()
             if code == cli.EXIT_INVALID:
                 continue
-            assert len(decompositions) == 1 + len(blow_downs), path.name
+            assert len(decompositions) == 1, path.name
             counted += len(blow_downs)
         assert counted >= 1
 
@@ -701,6 +717,45 @@ def test_adim_validates_once(monkeypatch, capsys):
         assert len(calls) <= 1, path.name
         validated += len(calls)
     assert validated >= 5
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("adim", "--file", "fixtureC-constfinite.cfg", "--json"),
+        ("zariski", "--file", "fixtureC.cfg"),
+        ("zariski", "--file", "missing.cfg"),
+        ("fixtures", "--seed", "1", "--count", "50"),
+        ("-h",),
+    ],
+)
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_closed_stdout_exits_quietly(argv, unbuffered):
+    """A reader that closed the pipe before the child started: no traceback,
+    nothing on standard error, and the documented exit code, whether the
+    report fails in ``print`` (unbuffered) or in the final flush.  Unbuffered
+    help is the exception: argparse drops its own write error and exits 0."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(src)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    args = [fixture_path(a) if a.endswith(".cfg") else a for a in argv]
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        completed = subprocess.run(
+            [sys.executable, "-m", "anticycle.cli", *args],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    code = 0 if argv == ("-h",) and unbuffered else cli.EXIT_BROKEN_PIPE
+    assert (completed.returncode, completed.stderr) == (code, b"")
+    assert cli.EXIT_BROKEN_PIPE == 141
 
 
 def test_module_entry_point():
