@@ -4,10 +4,11 @@ Single-shot subcommands over config files; every report is printed to
 standard output either as flattened ``key: value`` lines or, with
 ``--json``, as a JSON document carrying the same values.
 
-Each command's arguments are parsed by that command's own parser.  The full
-parser sees only an empty argv, an unknown command, or arguments the command
-leaves over: the cases where only it prints the top-level usage, help or
-"unrecognized arguments" error.
+Every option is declared once, in argparse.  An argv made only of one
+command's exact option strings and their plain values is read with that
+command's option table, which :func:`build_parser` builds from the actions
+argparse returns; every other argv goes to argparse's full parser, the only
+source of help, usage and error text.  Both give the same namespace.
 
 Each subcommand returns its report, and :func:`run` renders it and sets
 the exit code: from the report's verdict, or from the exception that
@@ -255,7 +256,8 @@ def _cmd_classify(args: argparse.Namespace) -> dict[str, Any]:
 
 def _cmd_blowup(args: argparse.Namespace) -> dict[str, Any]:
     config = _load_cycle(args.file)
-    if args.smooth == (args.node is not None):
+    node = args.node is not None
+    if args.smooth == node or (node and args.component is not None):
         raise ValueError("give either --node I, or --component I with --smooth")
     if args.smooth:
         if args.component is None:
@@ -367,6 +369,8 @@ def _cmd_adim(args: argparse.Namespace) -> dict[str, Any]:
 def _cmd_oracle_check(args: argparse.Namespace) -> dict[str, Any]:
     if args.count < 1:
         raise ValueError(f"--count must be at least 1, got {args.count}")
+    if args.file is not None and args.seed is not None:
+        raise ValueError("give --file or --seed, not both")
     configs: list[CycleConfig]
     if args.file is not None:
         configs = [_load_cycle(args.file)]
@@ -398,6 +402,62 @@ def _cmd_fixtures(args: argparse.Namespace) -> None:
 # argument parsing
 
 
+class _OptionTable:
+    """One command's options by exact option string, each with the action
+    that argparse's ``add_argument`` returned for it.
+
+    It knows the two forms :func:`build_parser` declares: an option that
+    takes one value (``nargs`` ``None``, converted by its ``type``) and a
+    flag (``nargs`` 0, which stores its ``const``).
+    """
+
+    def __init__(self, parser: argparse.ArgumentParser) -> None:
+        self.parser = parser
+        self.options: dict[str, argparse.Action] = {}
+        self.defaults: dict[str, Any] = {"fn": parser.get_default("fn")}
+        self.required: list[argparse.Action] = []
+
+    def add_argument(self, *flags: str, **kwargs: Any) -> None:
+        action = self.parser.add_argument(*flags, **kwargs)
+        for flag in action.option_strings:
+            self.options[flag] = action
+        self.defaults[action.dest] = action.default
+        if action.required:
+            self.required.append(action)
+
+    def parse(self, argv: Sequence[str]) -> dict[str, Any] | None:
+        """The attributes of the namespace argparse gives for ``argv`` after
+        the command name, or ``None`` where argparse might give another or
+        exit."""
+        values = dict(self.defaults)
+        seen = set()
+        tokens = iter(argv)
+        for token in tokens:
+            action = self.options.get(token)
+            if action is None:
+                return None
+            if action.nargs == 0:
+                value = action.const
+            else:
+                value = next(tokens, None)
+                # argparse reads "-" and decimal digits as a negative number,
+                # a value; every other token that starts with "-" is left to it
+                if value is None or (
+                    value.startswith("-") and not value[1:].isdecimal()
+                ):
+                    return None
+                if action.type is not None:
+                    try:
+                        value = action.type(value)
+                    except (argparse.ArgumentTypeError, TypeError, ValueError):
+                        return None
+            values[action.dest] = value
+            seen.add(action)
+        if not seen.issuperset(self.required):
+            return None
+        return values
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -406,15 +466,20 @@ def build_parser() -> argparse.ArgumentParser:
         "and algebraic-dimension verdicts for twistor pencils.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    # each command's own parser, by name, for :func:`_parse`
-    parser.commands = sub.choices
+    # each command's option table, by name, for :func:`_parse`
+    parser.commands = {}
 
-    def add(name: str, fn, help_text: str, *, file_required: bool = True):
+    def command(name: str, fn, help_text: str) -> _OptionTable:
         cmd = sub.add_parser(name, help=help_text)
         cmd.set_defaults(fn=fn)
-        cmd.add_argument("--file", required=file_required, help="config file path")
-        cmd.add_argument("--json", action="store_true", help="emit JSON")
-        return cmd
+        parser.commands[name] = table = _OptionTable(cmd)
+        return table
+
+    def add(name: str, fn, help_text: str, *, file_required: bool = True):
+        table = command(name, fn, help_text)
+        table.add_argument("--file", required=file_required, help="config file path")
+        table.add_argument("--json", action="store_true", help="emit JSON")
+        return table
 
     add("zariski", _cmd_zariski, "Zariski decomposition of the cycle")
     add("classify", _cmd_classify, "anti-Kodaira classification")
@@ -456,8 +521,7 @@ def build_parser() -> argparse.ArgumentParser:
     oracle.add_argument("--seed", type=int, help="generate configs from this seed")
     oracle.add_argument("--count", type=int, default=1)
 
-    fixtures = sub.add_parser("fixtures", help="emit deterministic fixture configs")
-    fixtures.set_defaults(fn=_cmd_fixtures)
+    fixtures = command("fixtures", _cmd_fixtures, "emit deterministic fixture configs")
     fixtures.add_argument("--seed", type=int, required=True)
     fixtures.add_argument("--count", type=int, default=1)
 
@@ -465,21 +529,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _parse(argv: Sequence[str]) -> argparse.Namespace:
-    """``build_parser().parse_args(argv)``, with one parser pass where it can.
+    """``build_parser().parse_args(argv)``, read from an option table where
+    it can.
 
-    The command named by ``argv[0]`` parses the rest with its own parser.
-    The full parser runs only where it alone decides what is printed: an
-    empty ``argv`` or an unknown command (top-level usage and help), or
-    arguments the command leaves over ("unrecognized arguments").
+    The table of the command named by ``argv[0]`` reads the rest when every
+    token is an exact option string of that command or a value that does not
+    start with ``-`` (or is ``-`` and decimal digits), when the option's
+    ``type`` converts every value, and when every required option is
+    present.  Every other argv goes to the full parser: an empty argv or an
+    unknown command, ``-h``, an abbreviation, ``--opt=value``, ``--``, a
+    leftover argument, a missing or malformed value or a missing option.
     """
     parser = build_parser()
-    command = parser.commands.get(argv[0]) if argv else None
-    if command is not None:
-        args, extras = command.parse_known_args(argv[1:])
-        if not extras:
-            args.command = argv[0]
-            return args
-    return parser.parse_args(argv)
+    table = parser.commands.get(argv[0]) if argv else None
+    values = table.parse(argv[1:]) if table is not None else None
+    if values is None:
+        return parser.parse_args(argv)
+    return argparse.Namespace(command=argv[0], **values)
 
 
 def run(argv: Sequence[str] | None = None) -> int:

@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
-import io
 import json
 import os
 import random
@@ -28,6 +26,7 @@ from anticycle.cycles import QDivisor, validate, zariski_decompose, zariski_orac
 from anticycle.pic0 import PicZeroElement, PicZeroFamily
 
 from conftest import FIXTURE_DIR, fixture_path
+from parse_equivalence import argv_corpus, mismatches, parse_outcome, takes_table
 
 F = Fraction
 
@@ -167,6 +166,22 @@ class TestSurgeryCommands:
             capsys, "blowup", "--file", fixture_path("fixtureA.cfg")
         )
         assert code == 2
+
+    def test_blowup_node_refuses_a_component(self, capsys):
+        code, out = run_cli(
+            capsys,
+            "blowup",
+            "--file",
+            fixture_path("fixtureC.cfg"),
+            "--node",
+            "1",
+            "--component",
+            "3",
+        )
+        assert (code, out) == (
+            2,
+            "invalid: give either --node I, or --component I with --smooth\n",
+        )
 
     def test_blowdown(self, capsys):
         code, out = run_cli(
@@ -443,6 +458,17 @@ class TestOracleCheck:
     def test_requires_source(self, capsys):
         code, out = run_cli(capsys, "oracle-check")
         assert code == 2
+
+    def test_refuses_file_and_seed(self, capsys):
+        code, out = run_cli(
+            capsys,
+            "oracle-check",
+            "--file",
+            fixture_path("fixtureC.cfg"),
+            "--seed",
+            "3",
+        )
+        assert (code, out) == (2, "invalid: give --file or --seed, not both\n")
 
     def test_rejects_count_below_one(self, capsys):
         code, out = run_cli(capsys, "oracle-check", "--seed", "1", "--count", "-3")
@@ -784,8 +810,8 @@ def test_module_entry_point():
     assert "Traceback" not in completed.stderr
 
 
-#: Argv lists that reach each branch of ``cli._parse``: the top level, the
-#: command's own parser, and the fallback on leftovers.
+#: Argv lists that reach each branch of ``cli._parse``: the option table,
+#: and the full parser on every form the table leaves to it.
 PARSE_CASES = [
     [],
     ["-h"],
@@ -813,19 +839,18 @@ PARSE_CASES = [
     ["intnums", "--file", "x.cfg", "--rho", "1", "--r", "-2"],
     ["oracle-check"],
     ["fixtures", "--seed", "1", "--count", "2"],
+    ["fixtures", "--seed", "1", "--count", "2", "--seed", "3"],
+    ["fixtures", "--count", "2"],
+    ["zariski", "--file", "x.cfg", "--file"],
+    ["zariski", "--file", "-"],
+    ["zariski", "--file", ""],
+    ["zariski", "--file", "-x"],
+    ["zariski", "-", "--file", "x.cfg"],
+    *(
+        ["intnums", "--file", "x.cfg", "--rho", value]
+        for value in ("-1", "-1.5", "-x", "", " 3", "1_0", "-٣", "-²")
+    ),
 ]
-
-
-def parse_outcome(parse, argv: list[str]) -> tuple:
-    """``vars`` of the namespace ``parse(argv)`` returns, or the exit code and
-    the stdout and stderr of the ``SystemExit`` it raises."""
-    out, err = io.StringIO(), io.StringIO()
-    try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            args = parse(argv)
-    except SystemExit as exc:
-        return ("exit", exc.code, out.getvalue(), err.getvalue())
-    return ("args", vars(args), out.getvalue(), err.getvalue())
 
 
 @pytest.mark.parametrize("argv", PARSE_CASES, ids=" ".join)
@@ -833,6 +858,14 @@ def test_parse_matches_the_full_parser(argv):
     assert parse_outcome(cli._parse, argv) == parse_outcome(
         cli.build_parser().parse_args, argv
     )
+
+
+def test_parse_matches_the_full_parser_on_the_argv_corpus():
+    corpus = argv_corpus()
+    assert len(corpus) >= 20_000
+    # both sides of ``cli._parse`` are exercised
+    assert 0.2 < sum(map(takes_table, corpus)) / len(corpus) < 0.8
+    assert mismatches(corpus) == []
 
 
 def test_module_entry_point_matches_transcript_and_run(capsys):

@@ -9,6 +9,7 @@ across refactors; regenerate it only for a deliberate change of output:
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
@@ -58,7 +59,15 @@ def replay(argv: list[str]) -> dict:
     return {"argv": argv, "exit": code, "stdout": out.getvalue()}
 
 
-def test_transcript_replays_byte_for_byte():
+def test_transcript_replays_byte_for_byte(monkeypatch):
+    """With argparse's parser refused: every transcript argv is read from its
+    command's option table, since a silent fall-back to argparse would keep
+    every output but lose the time the table saves."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("argparse parsed a transcript argv")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", refuse)
     recorded = json.loads(TRANSCRIPT.read_text(encoding="utf-8"))
     assert [entry["argv"] for entry in recorded] == commands()
     for entry in recorded:
