@@ -136,22 +136,24 @@ def _derivation_fields(derivation: Derivation) -> dict[str, Any]:
     }
 
 
-def _flatten(value: Any, key: str, lines: list[str]) -> None:
-    kind = type(value)
-    if kind is dict:
-        for sub, item in value.items():
-            _flatten(item, f"{key}.{sub}" if key else sub, lines)
-    elif kind is list and any(type(v) is dict for v in value):
-        for i, item in enumerate(value):
-            _flatten(item, f"{key}[{i}]", lines)
-    elif kind is list:
-        lines.append(f"{key}: ({', '.join(str(v) for v in value)})")
-    elif value is None:
-        lines.append(f"{key}: absent")
-    elif kind is bool:
-        lines.append(f"{key}: {'true' if value else 'false'}")
-    else:
-        lines.append(f"{key}: {value}")
+def _flatten(report: dict[str, Any], prefix: str, lines: list[str]) -> None:
+    """A ``prefix``ed ``key: value`` line per scalar or scalar list; a list
+    of reports is indexed (a report's lists hold reports or scalars only)."""
+    for name, value in report.items():
+        kind = type(value)
+        if kind is dict:
+            _flatten(value, f"{prefix}{name}.", lines)
+        elif kind is list and value and type(value[0]) is dict:
+            for i, item in enumerate(value):
+                _flatten(item, f"{prefix}{name}[{i}].", lines)
+        elif kind is list:
+            lines.append(f"{prefix}{name}: ({', '.join(map(str, value))})")
+        elif value is None:
+            lines.append(f"{prefix}{name}: absent")
+        elif kind is bool:
+            lines.append(f"{prefix}{name}: {'true' if value else 'false'}")
+        else:
+            lines.append(f"{prefix}{name}: {value}")
 
 
 def _json(value: Any, indent: str) -> str:
@@ -200,10 +202,17 @@ def _emit(report: dict[str, Any], as_json: bool) -> None:
 
 def _load_data(path: str) -> config_io.ConfigData:
     try:
-        with open(path, "rb", buffering=0) as handle:
-            raw = handle.read()
+        # a bare descriptor: no file object to build for a one-shot read
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            chunks = []
+            while chunk := os.read(fd, 1 << 16):
+                chunks.append(chunk)
+        finally:
+            os.close(fd)
     except OSError as exc:
         raise _CommandError(f"cannot read {path}: {exc.strerror}") from None
+    raw = b"".join(chunks)
     # ``parse_config`` breaks lines at CR LF and CR as text mode would; a
     # UnicodeDecodeError is a ValueError, so ``run`` prints it as ``invalid:``
     text = raw.decode("utf-8")
@@ -315,6 +324,8 @@ def _cmd_fibers(args: argparse.Namespace) -> dict[str, Any]:
 
 
 def _cmd_intnums(args: argparse.Namespace) -> dict[str, Any]:
+    if args.r < 0:
+        raise ValueError(f"--r must be at least 0, got {args.r}")
     pencil = config_io.build_pencil(_load_data(args.file), default_family=True)
     model = build_resolved_model(pencil)
     values = m_class_intersections(model, args.rho)
@@ -367,16 +378,19 @@ def _cmd_adim(args: argparse.Namespace) -> dict[str, Any]:
 
 
 def _cmd_oracle_check(args: argparse.Namespace) -> dict[str, Any]:
-    if args.count < 1:
+    if args.count is not None and args.count < 1:
         raise ValueError(f"--count must be at least 1, got {args.count}")
     if args.file is not None and args.seed is not None:
         raise ValueError("give --file or --seed, not both")
     configs: list[CycleConfig]
     if args.file is not None:
+        if args.count is not None:
+            raise ValueError("--count applies only to --seed")
         configs = [_load_cycle(args.file)]
     elif args.seed is not None:
         rng = random.Random(args.seed)
-        configs = [config_io.random_small_config(rng) for _ in range(args.count)]
+        count = 1 if args.count is None else args.count
+        configs = [config_io.random_small_config(rng) for _ in range(count)]
     else:
         raise ValueError("give --file or --seed")
     for config in configs:
@@ -519,7 +533,7 @@ def build_parser() -> argparse.ArgumentParser:
         file_required=False,
     )
     oracle.add_argument("--seed", type=int, help="generate configs from this seed")
-    oracle.add_argument("--count", type=int, default=1)
+    oracle.add_argument("--count", type=int)
 
     fixtures = command("fixtures", _cmd_fixtures, "emit deterministic fixture configs")
     fixtures.add_argument("--seed", type=int, required=True)

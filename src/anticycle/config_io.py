@@ -13,7 +13,8 @@ per line, ``#`` starting a comment.  Recognized keys:
 
 A cycle base needs exactly one of ``self``/``selfints``, and an elliptic
 base takes none of the cycle-only keys; unknown or duplicate keys are
-rejected with the offending line number.
+rejected with the offending line number.  :func:`parse_config` reads each
+line through one key table, key -> (``ConfigData`` field, value reader).
 """
 
 from __future__ import annotations
@@ -21,23 +22,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from .birational import blow_up_node
 from .cycles import CycleConfig
 from .pic0 import PicZeroElement, PicZeroFamily
 from .twistor import EllipticBase, TwistorPencil
-
-#: Each file key and the ``ConfigData`` field it fills.
-_FIELDS = {
-    "base": "base",
-    "n": "n",
-    "k": "k",
-    "self": "half_self_ints",
-    "selfints": "self_ints",
-    "family": "family",
-    "resolution": "resolution",
-}
-
 
 class ConfigError(ValueError):
     """A config file could not be parsed or assembled."""
@@ -64,9 +54,28 @@ def _parse_int_list(raw: str, line_no: int) -> tuple[int, ...]:
     if not inner:
         raise ConfigError(f"line {line_no}: empty list")
     try:
+        # ``int`` ignores the whitespace around each item itself
+        return tuple(map(int, inner.split(",")))
+    except ValueError:
+        pass
+    # strip each item first, so that the error text quotes it without spaces
+    try:
         return tuple(int(part.strip()) for part in inner.split(","))
     except ValueError as exc:
         raise ConfigError(f"line {line_no}: bad integer in list: {exc}") from None
+
+
+def _parse_integer(raw: str, line_no: int, key: str) -> int:
+    try:
+        return int(raw)
+    except ValueError:
+        raise ConfigError(f"line {line_no}: {key} must be an integer") from None
+
+
+def _parse_base(raw: str, line_no: int) -> str:
+    if raw not in ("cycle", "elliptic"):
+        raise ConfigError(f"line {line_no}: base must be 'cycle' or 'elliptic'")
+    return raw
 
 
 def _parse_fraction(raw: str, line_no: int) -> Fraction:
@@ -95,9 +104,23 @@ def _parse_family(raw: str, line_no: int) -> PicZeroFamily:
     raise ConfigError(f"line {line_no}: unrecognized family {raw!r}")
 
 
+#: Each file key: the ``ConfigData`` field it fills, and the reader that
+#: turns its value (stripped) and line number into that field's value or a
+#: ``ConfigError``.  :func:`parse_config` dispatches every line through it.
+_KEYS = {
+    "base": ("base", _parse_base),
+    "n": ("n", partial(_parse_integer, key="n")),
+    "k": ("k", partial(_parse_integer, key="k")),
+    "self": ("half_self_ints", _parse_int_list),
+    "selfints": ("self_ints", _parse_int_list),
+    "family": ("family", _parse_family),
+    "resolution": ("resolution", _parse_int_list),
+}
+
+
 def parse_config(text: str) -> ConfigData:
     """Parse config text, rejecting unknown or duplicate keys by line."""
-    seen: dict[str, object] = {}
+    fields: dict[str, object] = {}
     for line_no, line in enumerate(text.splitlines(), start=1):
         content = line.split("#", 1)[0].strip()
         if not content:
@@ -106,29 +129,19 @@ def parse_config(text: str) -> ConfigData:
             raise ConfigError(f"line {line_no}: expected 'key = value'")
         key, _, raw = content.partition("=")
         key = key.strip()
-        raw = raw.strip()
-        if key not in _FIELDS:
+        entry = _KEYS.get(key)
+        if entry is None:
             raise ConfigError(f"line {line_no}: unknown key {key!r}")
-        if key in seen:
+        field, read = entry
+        if field in fields:
             raise ConfigError(f"line {line_no}: duplicate key {key!r}")
-        if key in ("n", "k"):
-            try:
-                seen[key] = int(raw)
-            except ValueError:
-                raise ConfigError(f"line {line_no}: {key} must be an integer") from None
-        elif key in ("self", "selfints", "resolution"):
-            seen[key] = _parse_int_list(raw, line_no)
-        elif key == "family":
-            seen[key] = _parse_family(raw, line_no)
-        else:
-            if raw not in ("cycle", "elliptic"):
-                raise ConfigError(f"line {line_no}: base must be 'cycle' or 'elliptic'")
-            seen[key] = raw
-    if "self" in seen and "selfints" in seen:
+        fields[field] = read(raw.strip(), line_no)
+    cycle_forms = fields.keys() & {"half_self_ints", "self_ints"}
+    if len(cycle_forms) == 2:
         raise ConfigError("exactly one of 'self' and 'selfints' may be given")
-    if seen.get("base") != "elliptic" and "self" not in seen and "selfints" not in seen:
+    if not cycle_forms and fields.get("base") != "elliptic":
         raise ConfigError("one of 'self' and 'selfints' is required")
-    return ConfigData(**{_FIELDS[k]: v for k, v in seen.items()})
+    return ConfigData(**fields)
 
 
 def render_config(data: ConfigData) -> str:

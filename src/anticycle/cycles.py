@@ -25,12 +25,12 @@ signs also certify negative definiteness.  Its arithmetic is integer
 throughout: the divisor and the negative part are carried as integer
 vectors over one positive denominator, and ``Fraction`` appears only when
 the result is packed, which builds one ``Fraction`` per distinct
-coefficient value.  A support that is the whole cycle needs no solve
-(N = D), and its definiteness is the chain of the first m - 1 components
-plus the Schur complement of the last.  A deliberately naive oracle that
-enumerates all candidate supports with the dense ``Fraction`` matrices of
-:mod:`anticycle.qform` is kept alongside; the two share no arithmetic, so
-they can be compared on every input.
+coefficient value but 0 and 1, two shared constants.  A support that is
+the whole cycle needs no solve (N = D), and its definiteness is the chain
+of the first m - 1 components plus the Schur complement of the last.  A
+deliberately naive oracle that enumerates all candidate supports with the
+dense ``Fraction`` matrices of :mod:`anticycle.qform` is kept alongside;
+the two share no arithmetic, so they can be compared on every input.
 """
 
 from __future__ import annotations
@@ -58,6 +58,10 @@ KODAIRA_NEEDS_ORDER = "needs_order"
 
 #: Enumerating 2^m supports is only reasonable for small cycles.
 ORACLE_MAX_COMPONENTS = 12
+
+#: The coefficients 0 and 1, which nearly every decomposition packs, and
+#: P.P = 0: immutable, so every result shares them.
+_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 class CertificationError(Exception):
@@ -421,7 +425,8 @@ def zariski_decompose(config: CycleConfig, divisor=None) -> ZariskiDecomposition
     N, and N supported on a negative-definite configuration (the
     continuants of supp N, plus a Schur complement when supp N is the
     whole cycle).  Packing builds one ``Fraction`` per distinct integer of
-    P and N, and m0 and l fall out of L * den * P through one gcd.
+    P and N but 0 and L * den (shared constants, as is a zero P.P), and m0
+    and l fall out of L * den * P through one gcd.
     """
     s, m = config.self_ints, config.m
     if divisor is None:
@@ -470,15 +475,18 @@ def zariski_decompose(config: CycleConfig, divisor=None) -> ZariskiDecomposition
         m0, l = scale // g, tuple(x // g for x in p)
     else:
         m0, l = None, None
-    packed = {x: Fraction(x, scale) for x in {*p, *n_coeffs}}.__getitem__
+    packed = {0: _ZERO, scale: _ONE}
+    for x in {*p, *n_coeffs}.difference(packed):
+        packed[x] = Fraction(x, scale)
+    d = sum(map(mul, p, pdots))
     return ZariskiDecomposition(
         config,
         divisor,
-        QDivisor(tuple(map(packed, p))),
-        QDivisor(tuple(map(packed, n_coeffs))),
+        QDivisor(tuple(map(packed.__getitem__, p))),
+        QDivisor(tuple(map(packed.__getitem__, n_coeffs))),
         m0,
         l,
-        Fraction(sum(map(mul, p, pdots)), scale * scale),
+        Fraction(d, scale * scale) if d else _ZERO,
     )
 
 

@@ -15,6 +15,7 @@ derivations collide (no such pencil exists).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .cycles import (
     KODAIRA_ONE,
@@ -160,17 +161,10 @@ def _component_name(index: int, k: int) -> str:
     return f"~C{index - k + 1}"
 
 
-def _curve(i: int, conjugate: bool = False) -> str:
-    """Strict transform of component i (1-based) in the resolved fiber."""
-    return f"{'~' if conjugate else ''}C_{{1,{i}}}"
-
-
-def _delta(conjugate: bool = False) -> str:
-    return f"{'~' if conjugate else ''}Delta_1"
-
-
-def _divisor(i: int, conjugate: bool = False) -> str:
-    return f"{'~' if conjugate else ''}E_{i}"
+#: The model's names that do not depend on k: the first two strict
+#: transforms, the exceptional curve over the first node, and conjugates.
+_C11, _C12, _DELTA = "C_{1,1}", "C_{1,2}", "Delta_1"
+_C11_BAR, _C12_BAR, _DELTA_BAR = "~C_{1,1}", "~C_{1,2}", "~Delta_1"
 
 
 def conjugate_name(name: str) -> str:
@@ -314,29 +308,37 @@ def normalized_model(pencil: TwistorPencil, z: ZariskiDecomposition) -> Resolved
     """
     pencil, z = normalize_rotation(pencil, z)
     config = z.config
-    k = config.real_k
     bit = pencil.resolution[0] if pencil.resolution else 0
-    cycle_order = (
-        [_curve(1), _delta()]
-        + [_curve(i) for i in range(2, k + 1)]
-        + [_curve(1, True), _delta(True)]
-        + [_curve(i, True) for i in range(2, k + 1)]
-    )
+    cycle_order, fiber_composition, _ = _labels(config.real_k, bit)
+    return ResolvedModel(config, z.l, cycle_order, fiber_composition, bit)
+
+
+@cache
+def _labels(k: int, bit: int) -> tuple:
+    """The model's names for k and the node bit, built once per pair.
+
+    Returns the ``cycle_order`` and ``fiber_composition`` of
+    :class:`ResolvedModel`, and the chain of :func:`prove_E_fixed`: every
+    curve of the cycle but the seed, its partner and their conjugates.
+    They depend on nothing else, so every model of that k and bit shares
+    the same tuples.
+    """
     reducible = 2 if bit == 0 else 1
+    cycle_order: list[str] = []
     fibers: list[tuple[str, tuple[str, ...]]] = []
-    for conj in (False, True):
-        for j in range(1, k + 1):
-            if j == reducible:
-                fibers.append((_divisor(j, conj), (_delta(conj), _curve(j, conj))))
-            else:
-                fibers.append((_divisor(j, conj), (_curve(j, conj),)))
-    return ResolvedModel(
-        base=config,
-        l=z.l,
-        cycle_order=tuple(cycle_order),
-        fiber_composition=tuple(fibers),
-        node_bit=bit,
-    )
+    for bar in ("", "~"):
+        # C_{1,j} is the strict transform of component j, E_j its divisor
+        curves = [f"{bar}C_{{1,{j}}}" for j in range(1, k + 1)]
+        delta = bar + _DELTA
+        cycle_order += [curves[0], delta, *curves[1:]]
+        for j, curve in enumerate(curves, start=1):
+            members = (delta, curve) if j == reducible else (curve,)
+            fibers.append((f"{bar}E_{j}", members))
+    # the seed and its partner are Delta_1 and the carrier, C_{1,2} or C_{1,1}
+    excluded = (_C12, _C12_BAR) if bit == 0 else (_C11, _C11_BAR)
+    excluded += (_DELTA, _DELTA_BAR)
+    chain = tuple(name for name in cycle_order if name not in excluded)
+    return tuple(cycle_order), tuple(fibers), chain
 
 
 def m_class_intersections(model: ResolvedModel, rho: int) -> dict[str, int]:
@@ -354,13 +356,14 @@ def m_class_intersections(model: ResolvedModel, rho: int) -> dict[str, int]:
     ``restriction``, can fail, exactly when rho <= 0.
     """
     l = model.l
-    values = {name: 0 for name in model.cycle_order}
+    values = dict.fromkeys(model.cycle_order, 0)
     if model.node_bit == 0:
-        carrier, value = _curve(2), -rho * (l[0] - l[1])
+        value = -rho * (l[0] - l[1])
+        values[_C12] = values[_C12_BAR] = value
     else:
-        carrier, value = _curve(1), rho * (l[0] - l[1])
-    for name, degree in ((carrier, value), (_delta(), -value)):
-        values[name] = values[conjugate_name(name)] = degree
+        value = rho * (l[0] - l[1])
+        values[_C11] = values[_C11_BAR] = value
+    values[_DELTA] = values[_DELTA_BAR] = -value
     return values
 
 
@@ -376,17 +379,14 @@ def prove_E_fixed(model: ResolvedModel, r: int, rho: int) -> Derivation:
     and ``fiber`` hold by construction.  ``r`` enters only the conclusion.
     """
     values = m_class_intersections(model, rho)
-    seed = _curve(2) if model.node_bit == 0 else _delta()
-    partner = _delta() if model.node_bit == 0 else _curve(1)
-    excluded = {seed, conjugate_name(seed), partner, conjugate_name(partner)}
-    chain = [name for name in model.cycle_order if name not in excluded]
+    seed, seed_bar = (_C12, _C12_BAR) if model.node_bit == 0 else (_DELTA, _DELTA_BAR)
+    chain = _labels(model.base.real_k, model.node_bit)[2]
     seed_value = values[seed]
     step1 = DerivationStep(
         step="seed",
         hypothesis=f"M(r, rho).{seed} < 0 (and its conjugate, by reality), "
         "so both curves lie in the base locus",
-        evidence=f"M.{seed} = {seed_value}, M.{conjugate_name(seed)} = "
-        f"{values[conjugate_name(seed)]}",
+        evidence=f"M.{seed} = {seed_value}, M.{seed_bar} = {values[seed_bar]}",
         holds=seed_value < 0,
     )
     step2 = DerivationStep(

@@ -277,6 +277,27 @@ class TestModelCommands:
         assert "intersections.C_{1,2}: -1" in out
         assert "intersections.Delta_1: 1" in out
 
+    @pytest.mark.parametrize("r", ["-5", "-1"])
+    def test_intnums_rejects_negative_r(self, r, capsys):
+        code, out = run_cli(
+            capsys,
+            "intnums",
+            "--file",
+            fixture_path("fixtureC-constfinite.cfg"),
+            "--rho",
+            "1",
+            "--r",
+            r,
+        )
+        assert (code, out) == (2, f"invalid: --r must be at least 0, got {r}\n")
+
+    def test_intnums_r_zero_is_echoed(self, capsys):
+        code, out = run_cli(
+            capsys, "intnums", "--file", fixture_path("fixtureC.cfg"), "--rho", "1"
+        )
+        assert code == 0
+        assert out.startswith("r: 0\nrho: 1\n")
+
     def test_fixed_succeeds(self, capsys):
         code, out = run_cli(
             capsys,
@@ -469,6 +490,28 @@ class TestOracleCheck:
             "3",
         )
         assert (code, out) == (2, "invalid: give --file or --seed, not both\n")
+
+    @pytest.mark.parametrize("count", ["1", "5"])
+    def test_refuses_count_with_file(self, count, capsys):
+        code, out = run_cli(
+            capsys,
+            "oracle-check",
+            "--file",
+            fixture_path("fixtureC.cfg"),
+            "--count",
+            count,
+        )
+        assert (code, out) == (2, "invalid: --count applies only to --seed\n")
+
+    def test_count_below_one_is_checked_before_file(self, capsys):
+        code, out = run_cli(
+            capsys, "oracle-check", "--file", fixture_path("fixtureC.cfg"), "--count", "0"
+        )
+        assert (code, out) == (2, "invalid: --count must be at least 1, got 0\n")
+
+    def test_seed_alone_checks_one(self, capsys):
+        code, out = run_cli(capsys, "oracle-check", "--seed", "11")
+        assert (code, out) == (0, "checked: 1\nagreements: 1\n")
 
     def test_rejects_count_below_one(self, capsys):
         code, out = run_cli(capsys, "oracle-check", "--seed", "1", "--count", "-3")

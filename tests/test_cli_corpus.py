@@ -28,7 +28,7 @@ from anticycle.config_io import config_to_data, random_cycle_walk, render_config
 
 SEED = 1301
 FILES = 300
-DIGEST = "8afc6d67750a3d5b26391d0089ba7c2ee389cbb968fa39355af93f8f75434d9b"
+DIGEST = "f0ccc6a4aed0d1155bd013ea3345b27ec5a94ee307279cff55e940f6de67cdc4"
 
 #: Families a file may carry; ``None`` leaves the line out.
 FAMILIES = (
