@@ -566,6 +566,10 @@ def run(argv: Sequence[str] | None = None) -> int:
     args = _parse(sys.argv[1:] if argv is None else argv)
     try:
         report = args.fn(args)
+        if report is not None:
+            # rendered inside the mapping, so that a value too long to print
+            # is invalid input; the text is built whole before it is printed
+            _emit(report, args.json)
     except _Disagreement as exc:
         print(str(exc))
         return EXIT_DISAGREEMENT
@@ -579,10 +583,7 @@ def run(argv: Sequence[str] | None = None) -> int:
     except CertificationError as exc:
         print(f"error: {exc}")
         return EXIT_UNCERTIFIED
-    if report is None:
-        return EXIT_OK
-    _emit(report, args.json)
-    if report.get("verdict") == VERDICT_INCONSISTENT:
+    if report is not None and report.get("verdict") == VERDICT_INCONSISTENT:
         return EXIT_INCONSISTENT
     return EXIT_OK
 

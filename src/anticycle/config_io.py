@@ -79,10 +79,13 @@ def _parse_base(raw: str, line_no: int) -> str:
 
 
 def _parse_fraction(raw: str, line_no: int) -> Fraction:
-    try:
-        return Fraction(raw)
-    except (ValueError, ZeroDivisionError):
-        raise ConfigError(f"line {line_no}: bad rational {raw!r}") from None
+    # no exponent: Fraction("1e99999999") would build 10**99999999 first
+    if "e" not in raw and "E" not in raw:
+        try:
+            return Fraction(raw)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ConfigError(f"line {line_no}: bad rational {raw!r}")
 
 
 _ONE = Fraction(1)

@@ -248,20 +248,6 @@ def _coerce_divisor(config: CycleConfig, divisor) -> QDivisor:
     return divisor
 
 
-def _solve_on_support(
-    matrix: SymMatrix, rhs: Sequence[Fraction], support: Sequence[int]
-) -> list[Fraction] | None:
-    """Coefficients nu on ``support`` with (M@N)_i = rhs_i for i in support."""
-    sub = matrix.submatrix(support)
-    solution = solve_linear(sub, [rhs[i] for i in support])
-    if solution is None:
-        return None
-    coeffs = [Fraction(0)] * matrix.dim
-    for idx, i in enumerate(support):
-        coeffs[i] = solution[idx]
-    return coeffs
-
-
 def _finish(
     config: CycleConfig,
     matrix: SymMatrix,
@@ -288,7 +274,7 @@ def _finish(
     else:
         m0 = lcm(*(x.denominator for x in p.coeffs))
         l = tuple(int(x * m0) for x in p.coeffs)
-    d = matrix.pair(p.coeffs, p.coeffs)
+    d = sum(map(mul, p.coeffs, pdots))
     return ZariskiDecomposition(config, divisor, p, n_part, m0, l, d)
 
 
@@ -510,9 +496,12 @@ def zariski_oracle(config: CycleConfig, divisor=None) -> ZariskiDecomposition:
     survivors: dict[tuple[Fraction, ...], ZariskiDecomposition] = {}
     for size in range(config.m + 1):
         for support in itertools.combinations(range(config.m), size):
-            n_coeffs = _solve_on_support(matrix, rhs, support)
-            if n_coeffs is None:
+            nu = solve_linear(matrix.submatrix(support), [rhs[i] for i in support])
+            if nu is None:
                 continue
+            n_coeffs = [Fraction(0)] * config.m
+            for i, x in zip(support, nu):
+                n_coeffs[i] = x
             try:
                 candidate = _finish(config, matrix, divisor, n_coeffs)
             except CertificationError:

@@ -10,6 +10,12 @@ The production decomposition of :mod:`anticycle.cycles` uses none of
 them; it works on the stencil of the self-intersections and on chains.
 The matrix-vector product skips zero entries, since intersection matrices
 of cycles are mostly zero.
+
+One Gauss-Jordan elimination, :func:`_eliminate`, serves
+:func:`solve_linear`, :func:`kernel_basis` and the determinant :func:`_det`.
+:func:`definiteness` classifies by its own pivoted LDL^T factorization, and
+:func:`definiteness_by_minors` checks that verdict independently with
+determinants of principal minors, which rest on the elimination.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import Iterable, Sequence
 
 NEGATIVE_DEFINITE = "negative_definite"
@@ -84,31 +90,20 @@ class DefinitenessReport:
 
 
 def solve_linear(
-    a: Sequence[Sequence[int | Fraction]] | SymMatrix,
-    b: Sequence[int | Fraction],
+    m: SymMatrix, b: Sequence[int | Fraction]
 ) -> list[Fraction] | None:
-    """Solve the square system a@x = b exactly.
+    """Solve the square system m@x = b exactly.
 
     Returns the unique rational solution, or ``None`` when the matrix is
     singular (the system is never silently approximated).
     """
-    rows = a.rows if isinstance(a, SymMatrix) else a
-    n = len(rows)
-    if len(b) != n or any(len(row) != n for row in rows):
+    n = m.dim
+    if len(b) != n:
         raise ValueError("shape mismatch in linear system")
-    aug = [[Fraction(x) for x in row] + [Fraction(b[i])] for i, row in enumerate(rows)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            return None
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = aug[col][col]
-        for r in range(n):
-            if r == col or aug[r][col] == 0:
-                continue
-            factor = aug[r][col] / inv
-            for c in range(col, n + 1):
-                aug[r][c] -= factor * aug[col][c]
+    aug = [[Fraction(x) for x in row] + [Fraction(b[i])] for i, row in enumerate(m.rows)]
+    pivots, _ = _eliminate(aug, n)
+    if len(pivots) < n:
+        return None
     return [aug[i][n] / aug[i][i] for i in range(n)]
 
 
@@ -116,30 +111,46 @@ def kernel_basis(m: SymMatrix) -> tuple[tuple[int, ...], ...]:
     """Exact nullspace of ``m`` as a tuple of normalized primitive vectors."""
     n = m.dim
     rows = [list(row) for row in m.rows]
-    pivots: list[int] = []
-    rank = 0
-    for col in range(n):
-        pivot = next((r for r in range(rank, n) if rows[r][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = rows[rank][col]
-        rows[rank] = [x / inv for x in rows[rank]]
-        for r in range(n):
-            if r != rank and rows[r][col] != 0:
-                factor = rows[r][col]
-                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[rank])]
-        pivots.append(col)
-        rank += 1
+    pivots, _ = _eliminate(rows, n)
     basis = []
-    free_cols = [c for c in range(n) if c not in pivots]
-    for free in free_cols:
+    for free in (c for c in range(n) if c not in pivots):
         vec = [Fraction(0)] * n
         vec[free] = Fraction(1)
-        for r, col in enumerate(pivots):
-            vec[col] = -rows[r][free]
+        for row, col in zip(rows, pivots):
+            vec[col] = -row[free] / row[col]
         basis.append(_normalize_integer_vector(vec))
     return tuple(basis)
+
+
+def _eliminate(rows: list[list[Fraction]], n: int) -> tuple[list[int], int]:
+    """Gauss-Jordan elimination on the first ``n`` columns, in place.
+
+    Row ``r`` ends as the pivot row of the ``r``-th pivot column, and each
+    pivot column is cleared in every other row; pivot rows are not
+    rescaled.  Columns left of a pivot column are already cleared in its
+    pivot row, so only the columns from the pivot on are updated.  Returns
+    the pivot columns and the sign of the row permutation.
+    """
+    pivots: list[int] = []
+    sign = 1
+    for col in range(n):
+        rank = len(pivots)
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        if pivot != rank:
+            rows[rank], rows[pivot] = rows[pivot], rows[rank]
+            sign = -sign
+        prow = rows[rank]
+        inv = prow[col]
+        for r, row in enumerate(rows):
+            if r == rank or not row[col]:
+                continue
+            factor = row[col] / inv
+            for c in range(col, len(row)):
+                row[c] -= factor * prow[c]
+        pivots.append(col)
+    return pivots, sign
 
 
 def _normalize_integer_vector(vec: Sequence[Fraction]) -> tuple[int, ...]:
@@ -225,20 +236,10 @@ def definiteness_by_minors(m: SymMatrix) -> DefinitenessReport:
 
 
 def _det(m: SymMatrix) -> Fraction:
-    """Determinant by fraction-exact Gaussian elimination."""
+    """Determinant: the signed product of the pivots, 0 without a full set."""
     n = m.dim
     rows = [list(row) for row in m.rows]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if rows[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            det = -det
-        det *= rows[col][col]
-        for r in range(col + 1, n):
-            if rows[r][col] != 0:
-                factor = rows[r][col] / rows[col][col]
-                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
-    return det
+    pivots, sign = _eliminate(rows, n)
+    if len(pivots) < n:
+        return Fraction(0)
+    return prod((row[i] for i, row in enumerate(rows)), start=Fraction(sign))

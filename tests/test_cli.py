@@ -298,6 +298,27 @@ class TestModelCommands:
         assert code == 0
         assert out.startswith("r: 0\nrho: 1\n")
 
+    @pytest.mark.skipif(
+        sys.get_int_max_str_digits() == 0, reason="no limit on integer digits"
+    )
+    @pytest.mark.parametrize("json_flag", [(), ("--json",)])
+    def test_intnums_value_too_long_to_print_is_invalid(
+        self, json_flag, tmp_path, capsys
+    ):
+        # the largest rho that int() reads makes an M.C value one digit longer
+        path = tmp_path / "long.cfg"
+        path.write_text(
+            "base = cycle\nn = 7\nk = 5\nself = [-3, -4, -2, -1, -3]\n"
+            "family = nonconstant\n"
+        )
+        rho = "9" * sys.get_int_max_str_digits()
+        code, out = run_cli(
+            capsys, "intnums", "--file", str(path), "--rho", rho, *json_flag
+        )
+        assert code == cli.EXIT_INVALID == 2
+        assert len(out.splitlines()) == 1
+        assert out.startswith("invalid: Exceeds the limit")
+
     def test_fixed_succeeds(self, capsys):
         code, out = run_cli(
             capsys,

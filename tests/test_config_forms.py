@@ -93,6 +93,11 @@ REJECTED = [
     ("selfints = [-2]\ngarbage\n", "line 2: expected 'key = value'"),
     ("selfints=[-2]\nbase = Cycle\n", "line 2: base must be 'cycle' or 'elliptic'"),
     ("selfints=[-2]\nfamily = const unity 1/0\n", "line 2: bad rational '1/0'"),
+    ("selfints=[-2]\nfamily = const unity 1e5\n", "line 2: bad rational '1e5'"),
+    (
+        "selfints=[-2]\nfamily = const modulus 1E2 angle 0\n",
+        "line 2: bad rational '1E2'",
+    ),
     (
         "selfints=[-2]\nfamily = const modulus 0 angle 1/2\n",
         "line 2: modulus must be positive",

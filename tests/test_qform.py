@@ -15,6 +15,7 @@ from anticycle.qform import (
     OTHER,
     DefinitenessReport,
     SymMatrix,
+    _det,
     definiteness,
     definiteness_by_minors,
     kernel_basis,
@@ -159,6 +160,24 @@ class TestSolveLinear:
         m = sym([[-2, 2], [2, -2]])
         assert solve_linear(m, (Fraction(1), Fraction(1))) is None
 
+    def test_length_mismatch_rejected(self):
+        with pytest.raises(ValueError, match=r"^shape mismatch in linear system$"):
+            solve_linear(sym([[1, 0], [0, 1]]), (Fraction(1),))
+
+
+class TestElimination:
+    def test_row_swap(self):
+        m = sym([[0, 1], [1, 0]])
+        assert _det(m) == -1
+        assert solve_linear(m, (Fraction(2), Fraction(3))) == [3, 2]
+        assert kernel_basis(m) == ()
+
+    def test_leading_zero_column(self):
+        m = sym([[0, 0], [0, 1]])
+        assert _det(m) == 0
+        assert solve_linear(m, (Fraction(0), Fraction(1))) is None
+        assert kernel_basis(m) == ((1, 0),)
+
 
 def _matrices(max_dim: int = 4):
     return st.integers(min_value=1, max_value=max_dim).flatmap(
@@ -217,6 +236,22 @@ class TestProperties:
             assert m.apply(v) == tuple(Fraction(0) for _ in v)
         for v in kernel_basis(m):
             assert m.apply(v) == tuple(Fraction(0) for _ in v)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_matrices(), st.data())
+    def test_shared_elimination(self, m: SymMatrix, data):
+        det = _det(m)
+        assert det == _leibniz_det(m.rows)
+        b = data.draw(
+            st.lists(st.integers(-5, 5), min_size=m.dim, max_size=m.dim).map(
+                lambda xs: tuple(map(Fraction, xs))
+            )
+        )
+        x = solve_linear(m, b)
+        assert (x is None) == (det == 0)
+        if x is not None:
+            assert m.apply(x) == b
+        assert (kernel_basis(m) == ()) == (det != 0)
 
     @settings(max_examples=100, deadline=None)
     @given(_matrices())
