@@ -18,10 +18,14 @@ negative definite.  The intersection form of a cycle has at most three
 non-zeros per row, and every proper subset of the components is a
 disjoint union of chains.  The production algorithm uses both facts: its
 products are a stencil over the self-intersections, and it solves a
-proper support run by run as tridiagonal chains with the continuants of
-each run (fraction-free elimination; the continuants are the chain's
-leading minors, and their ratios its Hirzebruch-Jung remainders), whose
-signs also certify negative definiteness.  Its arithmetic is integer
+proper support as tridiagonal chains with the continuants of each run
+(fraction-free elimination; the continuants are the chain's leading
+minors, and their ratios its Hirzebruch-Jung remainders).  The solve
+sweeps every run forward first and stops at a zero continuant, takes one
+lcm of the runs' last continuants, and back-substitutes each run in
+place.  Negative definiteness of supp N is certified by walking the
+continuant recurrence again, from the self-intersections, up to the
+first pivot of the wrong sign.  The arithmetic is integer
 throughout: the divisor and the negative part are carried as integer
 vectors over one positive denominator, and ``Fraction`` appears only when
 the result is packed, which builds one ``Fraction`` per distinct
@@ -298,29 +302,17 @@ def _runs(support: Iterable[int], m: int) -> list[list[int]]:
     the run that starts at 0.  The runs come in no particular order.
     """
     runs: list[list[int]] = []
-    run: list[int] = []
+    prev = -2
     for i in sorted(support):
-        if run and i == run[-1] + 1:
+        if i == prev + 1:
             run.append(i)
         else:
             run = [i]
             runs.append(run)
-    if len(runs) > 1 and runs[0][0] == 0 and runs[-1][-1] == m - 1:
+        prev = i
+    if len(runs) > 1 and runs[0][0] == 0 and prev == m - 1:
         runs[0] = runs.pop() + runs[0]
     return runs
-
-
-def _continuants(s: Sequence[int], run: Sequence[int]) -> list[int]:
-    """Continuants q_0, ..., q_last of the chain of components ``run``.
-
-    q_{-1} = 1, q_0 = s_0 and q_t = s_t q_{t-1} - q_{t-2}: q_t is the
-    determinant of the leading (t+1)-block of the chain, and q_t / q_{t-1}
-    its t-th elimination pivot (a Hirzebruch-Jung remainder).
-    """
-    q = [1, s[run[0]]]
-    for i in run[1:]:
-        q.append(s[i] * q[-1] - q[-2])
-    return q[1:]
 
 
 def _solve_chain(
@@ -329,60 +321,68 @@ def _solve_chain(
     """Integers N over L > 0 with (M@N)_i = L rhs_i for i in the support.
 
     Each maximal run is a tridiagonal system with unit off-diagonals,
-    solved fraction-free with its continuants q_t.  One pass along the run
-    builds the continuants (as :func:`_continuants` does) together with the
-    forward sweep R_0 = rhs_0, R_t = rhs_t q_{t-1} - R_{t-1}; the back sweep
+    solved fraction-free with its continuants q_{-2} = 0, q_{-1} = 1,
+    q_t = s_t q_{t-1} - q_{t-2} (q_t is the leading (t+1)-minor of the
+    chain).  The solve has two phases.  First the forward sweep of every
+    run builds the continuants together with R_{-1} = 0,
+    R_t = rhs_t q_{t-1} - R_{t-1},
+    and returns ``None`` at the first continuant that vanishes (the run is
+    then singular or not negative definite, and Bauer's growth lemma keeps
+    every growth support negative definite).  Then L is the least common
+    multiple of the runs' |q_last|, and each run's back sweep
     X_last = R_last, X_t = (R_t q_last - q_{t-1} X_{t+1}) / q_t, an exact
-    division, then gives the run's solution X / q_last.  L is the least
-    common multiple of the runs' |q_last|.  Returns ``None`` when a
-    continuant vanishes: the run is then singular or not negative definite,
-    and Bauer's growth lemma keeps every growth support negative definite.
+    division, writes X (L / q_last), the run's solution over L, straight
+    into the coefficient list.
     """
-    solved = []
-    denominator = 1
+    swept = []
     for run in _runs(support, len(s)):
-        first = run[0]
-        q_prev, det, r = 1, s[first], rhs[first]
-        q, reduced = [det], [r]
-        for i in run[1:]:
+        # q[t + 1] is q_t, from q[0] = q_{-1}.
+        q_prev, det, r = 0, 1, 0
+        q, reduced = [1], []
+        for i in run:
             r = rhs[i] * det - r
             q_prev, det = det, s[i] * det - q_prev
+            if not det:
+                return None
             q.append(det)
             reduced.append(r)
-        if not all(q):
-            return None
-        x = r
-        xs = [x]
-        for t in range(len(run) - 2, -1, -1):
-            x = (reduced[t] * det - (q[t - 1] if t else 1) * x) // q[t]
-            xs.append(x)
-        solved.append((run, xs, det))
-        denominator = lcm(denominator, det)
+        swept.append((run, q, reduced))
+    denominator = lcm(*[q[-1] for _, q, _ in swept])
     coeffs = [0] * len(s)
-    for run, xs, det in solved:
+    for run, q, reduced in swept:
+        det = q[-1]
         scale = denominator // det
-        for i, x in zip(reversed(run), xs):
-            coeffs[i] = x * scale
+        x = reduced[-1]
+        coeffs[run[-1]] = x * scale
+        for t in range(len(run) - 2, -1, -1):
+            x = (reduced[t] * det - q[t] * x) // q[t + 1]
+            coeffs[run[t]] = x * scale
     return coeffs, denominator
 
 
 def _negative_definite_support(config: CycleConfig, support: Sequence[int]) -> bool:
     """Whether the components ``support`` span a negative-definite configuration.
 
-    A proper support is read off the continuants of its runs: a chain is
-    negative definite iff (-1)^{t+1} q_t > 0 for every t.  The whole cycle
-    is negative definite iff the chain C_1..C_{m-1} is and the Schur
+    A chain is negative definite iff every leading minor of its negated
+    matrix is positive: the continuants p_{-2} = 0, p_{-1} = 1,
+    p_t = -s_t p_{t-1} - p_{t-2} (p_t = (-1)^{t+1} q_t for the continuants
+    q_t of the chain itself).  A proper support walks this recurrence
+    along each run and stops at the first p_t <= 0.  The whole cycle is
+    negative definite iff the chain C_1..C_{m-1} is and the Schur
     complement of C_m is negative (Haynsworth's inertia additivity); with
     the chain solved as integers X over L > 0, that is
     last_m L - sum last_i X_i < 0.
     """
-    s, m = config.self_ints, config.m
+    s = config.self_ints
+    m = len(s)
     if len(support) < m:
-        return all(
-            (q if t % 2 else -q) > 0
-            for run in _runs(support, m)
-            for t, q in enumerate(_continuants(s, run))
-        )
+        for run in _runs(support, m):
+            p_prev, p = 0, 1
+            for i in run:
+                p_prev, p = p, -s[i] * p - p_prev
+                if p <= 0:
+                    return False
+        return True
     chain = range(m - 1)
     if not _negative_definite_support(config, chain):
         return False
@@ -414,7 +414,8 @@ def zariski_decompose(config: CycleConfig, divisor=None) -> ZariskiDecomposition
     P and N but 0 and L * den (shared constants, as is a zero P.P), and m0
     and l fall out of L * den * P through one gcd.
     """
-    s, m = config.self_ints, config.m
+    s = config.self_ints
+    m = len(s)
     if divisor is None:
         divisor, den, dint = _ones(m), 1, [1] * m
     else:
@@ -443,12 +444,14 @@ def zariski_decompose(config: CycleConfig, divisor=None) -> ZariskiDecomposition
                 )
             n_coeffs, chain_den = solved
         p = [chain_den * a - b for a, b in zip(dint, n_coeffs)]
-        pdots = _stencil(s, p)
-    if min(n_coeffs, default=0) < 0:
+        # The stencil, inline; p[i + 1 - m] is p[(i + 1) % m].  A nodal
+        # curve (m = 1) grows only to the whole cycle, where P = 0.
+        pdots = [s[i] * p[i] + p[i - 1] + p[i + 1 - m] for i in range(m)]
+    if min(n_coeffs) < 0:
         raise CertificationError("negative part is not effective")
-    if min(p, default=0) < 0:
+    if min(p) < 0:
         raise CertificationError("nef part is not effective")
-    if min(pdots, default=0) < 0:
+    if min(pdots) < 0:
         raise CertificationError("nef condition fails: P.C_i < 0 for some i")
     n_support = [i for i, x in enumerate(n_coeffs) if x]
     if any(pdots[i] for i in n_support):
@@ -458,18 +461,19 @@ def zariski_decompose(config: CycleConfig, divisor=None) -> ZariskiDecomposition
     scale = chain_den * den
     if any(p):
         g = gcd(scale, *p)
-        m0, l = scale // g, tuple(x // g for x in p)
+        m0, l = scale // g, tuple([x // g for x in p])
     else:
         m0, l = None, None
     packed = {0: _ZERO, scale: _ONE}
     for x in {*p, *n_coeffs}.difference(packed):
         packed[x] = Fraction(x, scale)
+    pack = packed.__getitem__
     d = sum(map(mul, p, pdots))
     return ZariskiDecomposition(
         config,
         divisor,
-        QDivisor(tuple(map(packed.__getitem__, p))),
-        QDivisor(tuple(map(packed.__getitem__, n_coeffs))),
+        QDivisor(tuple(map(pack, p))),
+        QDivisor(tuple(map(pack, n_coeffs))),
         m0,
         l,
         Fraction(d, scale * scale) if d else _ZERO,

@@ -125,11 +125,14 @@ def kernel_basis(m: SymMatrix) -> tuple[tuple[int, ...], ...]:
 def _eliminate(rows: list[list[Fraction]], n: int) -> tuple[list[int], int]:
     """Gauss-Jordan elimination on the first ``n`` columns, in place.
 
-    Row ``r`` ends as the pivot row of the ``r``-th pivot column, and each
-    pivot column is cleared in every other row; pivot rows are not
-    rescaled.  Columns left of a pivot column are already cleared in its
-    pivot row, so only the columns from the pivot on are updated.  Returns
-    the pivot columns and the sign of the row permutation.
+    Row ``r`` ends as the pivot row of the ``r``-th pivot column; pivot
+    rows are not rescaled.  Each pivot updates the other rows right of its
+    own column only: left of it the pivot row is 0, and the other rows'
+    entries in the pivot column itself, which Gauss-Jordan would clear to
+    0, are left stale.  No later pivot and no caller reads a stale entry;
+    the callers read a pivot row's own pivot entry and its free and
+    right-hand columns.  Returns the pivot columns and the sign of the row
+    permutation.
     """
     pivots: list[int] = []
     sign = 1
@@ -147,7 +150,7 @@ def _eliminate(rows: list[list[Fraction]], n: int) -> tuple[list[int], int]:
             if r == rank or not row[col]:
                 continue
             factor = row[col] / inv
-            for c in range(col, len(row)):
+            for c in range(col + 1, len(row)):
                 row[c] -= factor * prow[c]
         pivots.append(col)
     return pivots, sign

@@ -5,22 +5,28 @@ Each case is a cycle with m in 1..12 and self-intersections in [-9, 6]
 effective Q-divisor, or an invalid one (wrong length or a negative
 entry).  The digest hashes the ``repr`` of every result, or the type and
 message of what it raises, so it changes exactly when an output does.
-``tests/test_chains.py`` pins it; the module needs only the standard
-library and ``anticycle``, so the pin can be checked on any interpreter:
+The pin is ``PINNED_DIGEST``, which ``tests/test_chains.py`` asserts.
+The module needs only the standard library and ``anticycle``, so the pin
+can be checked on any interpreter, without pytest:
 
     PYTHONPATH=src python tests/decomposition_digest.py
+
+prints the digest and exits 1 when it differs from the pin.  A change
+that means to alter an output updates ``PINNED_DIGEST``.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
+import sys
 from fractions import Fraction
 
 from anticycle.cycles import CycleConfig, QDivisor, ambient_n, zariski_decompose
 
 DIGEST_SEED = 12
 DIGEST_CASES = 10_000
+PINNED_DIGEST = "63c7d82db0a00393339459c3af9bacb3b9e6c67cb6cfe6c2847d61bc33abe80c"
 
 
 def _case(rng: random.Random):
@@ -58,4 +64,8 @@ def decomposition_digest(seed: int = DIGEST_SEED, count: int = DIGEST_CASES) -> 
 
 
 if __name__ == "__main__":
-    print(decomposition_digest())
+    digest = decomposition_digest()
+    print(digest)
+    if digest != PINNED_DIGEST:
+        print(f"decomposition digest changed: want {PINNED_DIGEST}", file=sys.stderr)
+        sys.exit(1)

@@ -24,7 +24,6 @@ from anticycle.config_io import build_cycle, parse_config, random_cycle_walk
 from anticycle.cycles import (
     CycleConfig,
     QDivisor,
-    _continuants,
     _cycle_square,
     _negative_definite_support,
     _solve_chain,
@@ -36,9 +35,10 @@ from anticycle.cycles import (
 )
 from anticycle.qform import NEGATIVE_DEFINITE, _det, definiteness_by_minors
 from conftest import fixture_path
-from decomposition_digest import decomposition_digest
+from decomposition_digest import PINNED_DIGEST, decomposition_digest
 
 _SELF_INTS = st.lists(st.integers(min_value=-6, max_value=3), min_size=1, max_size=9)
+_RUN_SELF_INTS = st.lists(st.integers(min_value=-6, max_value=3), min_size=1, max_size=10)
 
 
 @st.composite
@@ -76,9 +76,33 @@ class TestStencil:
         assert _cycle_square(config) == intersection_matrix(config).pair(ones, ones)
 
 
+def _continuants(s, run):
+    """Continuants q_0, ..., q_last of the chain of components ``run``.
+
+    q_{-1} = 1, q_0 = s_0 and q_t = s_t q_{t-1} - q_{t-2}: q_t is the
+    determinant of the leading (t+1)-block of the chain.  The reference
+    recurrence that the chain solve and the definiteness walk inline.
+    """
+    q = [1, s[run[0]]]
+    for i in run[1:]:
+        q.append(s[i] * q[-1] - q[-2])
+    return q[1:]
+
+
+@st.composite
+def _proper_supports(draw):
+    """Self-intersections, an integer right-hand side and a proper support."""
+    s = draw(_RUN_SELF_INTS)
+    rhs = draw(st.lists(st.integers(-20, 20), min_size=len(s), max_size=len(s)))
+    support = draw(st.sets(st.integers(0, len(s) - 1), max_size=len(s) - 1))
+    return tuple(s), rhs, sorted(support)
+
+
 class TestChainPivots:
     @settings(max_examples=150, deadline=None)
     @given(_SELF_INTS)
+    @example([1, -2, -2])  # the run from C_1 fails at its first pivot
+    @example([-2, -1, -1, -3])  # the run C_1..C_3 fails at its third pivot
     def test_pivots_agree_with_minors_on_every_proper_run(self, s):
         config = CycleConfig.plain(s)
         matrix = intersection_matrix(config)
@@ -90,6 +114,18 @@ class TestChainPivots:
                 by_minors = definiteness_by_minors(matrix.submatrix(run)).kind
                 assert by_pivots == (by_minors == NEGATIVE_DEFINITE), run
 
+    @settings(max_examples=150, deadline=None)
+    @given(_proper_supports())
+    @example(((-2, 0, -2, -3), [0] * 4, [0, 2]))  # two definite runs
+    @example(((-2, 0, 1, -3), [0] * 4, [0, 2]))  # the second run fails at its first pivot
+    @example(((-2, 0, -2, -1, -1, 0), [0] * 6, [0, 2, 3, 4]))  # the second run fails mid-run
+    def test_pivots_agree_with_minors_on_proper_supports(self, case):
+        s, _, support = case
+        config = CycleConfig.plain(s)
+        by_pivots = _negative_definite_support(config, support)
+        by_minors = definiteness_by_minors(intersection_matrix(config).submatrix(support)).kind
+        assert by_pivots == (by_minors == NEGATIVE_DEFINITE)
+
 
 def _assert_solves(config, rhs, support):
     """``_solve_chain`` gives integers N over L > 0 with (M@N)_i = L rhs_i on the support."""
@@ -99,9 +135,6 @@ def _assert_solves(config, rhs, support):
     product = intersection_matrix(config).apply(n)
     assert all(product[i] == denominator * rhs[i] for i in support), support
     assert all(n[i] == 0 for i in range(config.m) if i not in support), support
-
-
-_RUN_SELF_INTS = st.lists(st.integers(min_value=-6, max_value=3), min_size=1, max_size=10)
 
 
 def _expected_runs(support, m):
@@ -152,17 +185,20 @@ class TestContinuants:
                     assert _solve_chain(config.self_ints, rhs, run) is None
 
     @settings(max_examples=100, deadline=None)
-    @given(_RUN_SELF_INTS, st.data())
-    def test_proper_supports_of_several_runs(self, s, data):
+    @given(_proper_supports())
+    @example(((0, -2, -2, -3), [1, 2, 3, 4], [0, 1]))  # q_0 = 0
+    @example(((0, -2, -2), [1, 2, 3], [0]))  # a run of one with q_0 = 0
+    @example(((1, 1, -2, -3), [1, 2, 3, 4], [0, 1, 2]))  # q_1 = 0 inside the run
+    @example(((-1, -1, -3), [1, 2, 3], [0, 1]))  # the last continuant is 0
+    @example(((-2, -3, -2, 1, 1, -2), [1, 2, 3, 4, 5, 6], [0, 3, 4]))  # only the second run
+    def test_proper_supports_of_several_runs(self, case):
+        s, rhs, support = case
         config = CycleConfig.plain(s)
-        m = config.m
-        rhs = data.draw(st.lists(st.integers(-20, 20), min_size=m, max_size=m))
-        support = data.draw(st.sets(st.integers(0, m - 1), max_size=m - 1))
-        dets = [_continuants(config.self_ints, run) for run in cycles._runs(support, m)]
+        dets = [_continuants(s, run) for run in cycles._runs(support, config.m)]
         if all(all(q) for q in dets):
-            _assert_solves(config, rhs, sorted(support))
+            _assert_solves(config, rhs, support)
         else:
-            assert _solve_chain(config.self_ints, rhs, support) is None
+            assert _solve_chain(s, rhs, support) is None
 
 
 class TestAgainstOracle:
@@ -456,7 +492,8 @@ def test_decomposition_digest():
     The corpus and hash are in ``tests/decomposition_digest.py``: 10,000
     cycles with m in 1..12 and s in [-9, 6], default, random effective and
     invalid divisors, results by ``repr`` and errors by type and message.
-    A change that means to alter an output regenerates the pin with
-    ``PYTHONPATH=src python tests/decomposition_digest.py``.
+    The pin is ``PINNED_DIGEST`` there, which
+    ``PYTHONPATH=src python tests/decomposition_digest.py`` also checks,
+    without pytest.
     """
-    assert decomposition_digest() == "63c7d82db0a00393339459c3af9bacb3b9e6c67cb6cfe6c2847d61bc33abe80c"
+    assert decomposition_digest() == PINNED_DIGEST
