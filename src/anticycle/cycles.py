@@ -20,7 +20,10 @@ disjoint union of chains.  The production algorithm uses both facts: its
 products are a stencil over the self-intersections, and it solves a
 proper support as tridiagonal chains with the continuants of each run
 (fraction-free elimination; the continuants are the chain's leading
-minors, and their ratios its Hirzebruch-Jung remainders).  The solve
+minors, and their ratios its Hirzebruch-Jung remainders).  A round needs
+P only for the sign of P.C_i outside the support, where N_i = 0, so it
+reads P.C_i off the two neighbours of N; P and its stencil are built
+once, after the last round, for the certification.  The solve
 sweeps every run forward first and stops at a zero continuant, takes one
 lcm of the runs' last continuants, and back-substitutes each run in
 place.  Negative definiteness of supp N is certified by walking the
@@ -62,6 +65,9 @@ KODAIRA_NEEDS_ORDER = "needs_order"
 
 #: Enumerating 2^m supports is only reasonable for small cycles.
 ORACLE_MAX_COMPONENTS = 12
+
+#: What ``validate`` reports, and both decompositions raise, for m = 0.
+_EMPTY_CYCLE = "cycle must have at least one component"
 
 #: The coefficients 0 and 1, which nearly every decomposition packs, and
 #: P.P = 0: immutable, so every result shares them.
@@ -174,7 +180,7 @@ def validate(config: CycleConfig) -> list[str]:
     issues: list[str] = []
     m = config.m
     if m < 1:
-        issues.append("cycle must have at least one component")
+        issues.append(_EMPTY_CYCLE)
         return issues
     k = config.real_k
     if k is not None:
@@ -394,28 +400,36 @@ def _negative_definite_support(config: CycleConfig, support: Sequence[int]) -> b
 def zariski_decompose(config: CycleConfig, divisor=None) -> ZariskiDecomposition:
     """Zariski decomposition of an effective divisor on the cycle.
 
-    The loop starts from P = D with empty support S.  Each round grows S by
-    every component outside it with P.C_i < 0, at once and in index order,
-    then solves for the negative part N on S via (D - N).C_i = 0 for i in
-    S and recomputes P = D - N; the loop stops when no component has
-    P.C_i < 0.  Bauer's lemma keeps every enlarged S negative definite, and
-    each round costs one solve.  The loop is integer throughout: D is
-    carried as integers over ``den``, the lcm of its denominators (C itself,
-    the default, is all ones over 1), and N as integers over L * den, where
-    L > 0 (``chain_den``) comes from the continuant solve of the runs of a
+    The first support S is every component with D.C_i < 0.  Each round
+    solves for the negative part N on S via (D - N).C_i = 0 for i in S,
+    then grows S by every component outside it with P.C_i < 0, where
+    P = D - N, at once and in index order; the loop stops when no
+    component has P.C_i < 0.  Outside S, N_i = 0, so the round reads
+    P.C_i = D.C_i - N_{i-1} - N_{i+1} off N's neighbours (for m = 2 the
+    other component counts twice) and builds no P.  Bauer's lemma keeps
+    every enlarged S negative definite, and each round costs one solve.
+    The loop is integer throughout: D is carried as integers over
+    ``den``, the lcm of its denominators (C itself, the default, is all
+    ones over 1), and N as integers over L * den, where L > 0
+    (``chain_den``) comes from the continuant solve of the runs of a
     proper support (the whole cycle as support gives N = D, L = 1).
     Products come from the stencil of the self-intersections; no dense
-    matrix is built.  On termination the result is certified against all
-    defining conditions, read off the integer vector L * den * P and its
-    stencil: P and N effective, P nef, P orthogonal to every component of
-    N, and N supported on a negative-definite configuration (the
-    continuants of supp N, plus a Schur complement when supp N is the
-    whole cycle).  Packing builds one ``Fraction`` per distinct integer of
-    P and N but 0 and L * den (shared constants, as is a zero P.P), and m0
-    and l fall out of L * den * P through one gcd.
+    matrix is built.  After the loop the integer vector L * den * P and
+    its stencil are built once, for the certification (with no round,
+    P = D and its stencil is the right-hand side).  The result is
+    certified against all defining conditions, read off them: P and N
+    effective, P nef, P orthogonal to every component of N, and N
+    supported on a negative-definite configuration (the continuants of
+    supp N, plus a Schur complement when supp N is the whole cycle).
+    Packing builds one ``Fraction`` per distinct integer of P and N but 0
+    and L * den (shared constants, as is a zero P.P), and m0 and l fall
+    out of L * den * P through one gcd.  An empty cycle raises
+    ``ValueError``.
     """
     s = config.self_ints
     m = len(s)
+    if not m:
+        raise ValueError(_EMPTY_CYCLE)
     if divisor is None:
         divisor, den, dint = _ones(m), 1, [1] * m
     else:
@@ -423,30 +437,42 @@ def zariski_decompose(config: CycleConfig, divisor=None) -> ZariskiDecomposition
         den = lcm(*(x.denominator for x in divisor.coeffs))
         dint = [x.numerator * (den // x.denominator) for x in divisor.coeffs]
     rhs = _stencil(s, dint)
-    support: list[int] = []
+    support = [i for i, x in enumerate(rhs) if x < 0]
     n_coeffs, chain_den = [0] * m, 1
-    p, pdots = dint, rhs
-    while True:
-        growth = [i for i, x in enumerate(pdots) if x < 0 and i not in support]
-        if not growth:
-            break
-        support += growth
+    while support:
         if len(support) == m:
             # Bauer's growth lemma: the whole cycle is then negative definite,
             # so M N = M D gives N = D; the certification below checks it.
             n_coeffs, chain_den = dint, 1
-        else:
-            solved = _solve_chain(s, rhs, support)
-            if solved is None:
-                raise CertificationError(
-                    "singular support system on components "
-                    f"{[i + 1 for i in support]}"
-                )
-            n_coeffs, chain_den = solved
+            break
+        solved = _solve_chain(s, rhs, support)
+        if solved is None:
+            raise CertificationError(
+                "singular support system on components "
+                f"{[i + 1 for i in support]}"
+            )
+        n_coeffs, chain_den = solved
+        # Where N_i = 0, P.C_i = L rhs_i - N_{i-1} - N_{i+1}; for m = 2 both
+        # neighbours are the other component, which counts twice, as it
+        # should.  That holds off the support, and on it the solve makes
+        # P.C_i = 0, so the test adds no component of the support.
+        growth = [
+            i
+            for i in range(m)
+            if not n_coeffs[i]
+            and chain_den * rhs[i] < n_coeffs[i - 1] + n_coeffs[i + 1 - m]
+        ]
+        if not growth:
+            break
+        support += growth
+    if support:
         p = [chain_den * a - b for a, b in zip(dint, n_coeffs)]
         # The stencil, inline; p[i + 1 - m] is p[(i + 1) % m].  A nodal
-        # curve (m = 1) grows only to the whole cycle, where P = 0.
+        # curve (m = 1) grows only to the whole cycle, where P = 0.  With no
+        # round it would read (s_0 + 2) p_0, hence rhs below.
         pdots = [s[i] * p[i] + p[i - 1] + p[i + 1 - m] for i in range(m)]
+    else:
+        p, pdots = dint, rhs
     if min(n_coeffs) < 0:
         raise CertificationError("negative part is not effective")
     if min(p) < 0:
@@ -490,10 +516,12 @@ def zariski_oracle(config: CycleConfig, divisor=None) -> ZariskiDecomposition:
     shares neither its search nor its arithmetic, since the algorithm uses
     only the stencil, the chain solve and the pivots, and the dense
     :mod:`anticycle.qform` routines serve only the oracle.  Limited to
-    m <= 12 components.
+    1 <= m <= 12 components.
     """
     if config.m > ORACLE_MAX_COMPONENTS:
         raise ValueError(f"oracle limited to m <= {ORACLE_MAX_COMPONENTS} components")
+    if not config.m:
+        raise ValueError(_EMPTY_CYCLE)
     divisor = _coerce_divisor(config, divisor)
     matrix = intersection_matrix(config)
     rhs = matrix.apply(divisor.coeffs)

@@ -304,6 +304,9 @@ class TestBauerRounds:
     @example((CycleConfig.plain((-1, -4, -1, -4)), None))  # one round
     @example((CycleConfig.plain((-3, -2, -2)), None))  # N = D after rounds
     @example((CycleConfig.plain((-5, 1, -5, 1)), None))  # P^2 > 0
+    @example((CycleConfig.plain((-5, -1)), None))  # C_2 joins through its doubled neighbour; P = 0
+    @example((CycleConfig.plain((-4, -1)), None))  # P.C_2 = 0, so C_2 stays out
+    @example((CycleConfig.real((-3,), 5), [1, 3]))  # real k = 1: C_2, then C_1
     def test_rounds(self, case):
         config, divisor = case
         with _recorded_growth_solves() as calls:

@@ -6,9 +6,13 @@ arbitrary real and plain cycles, elliptic bases, wrong n, and mutated texts
 breaks).  Every file goes through every file subcommand in-process, with
 indices in [-1, m + 2], ``--json``, ``--drop-reality`` and ``--rho``/``--nu``
 values that include 0 and -1.  One sha256 over (argv, exit code, stdout) of
-every run is pinned; regenerate it only for a deliberate change of output:
+every run is pinned as ``DIGEST``.  The script needs no pytest:
 
     PYTHONPATH=src python tests/test_cli_corpus.py
+
+prints the run count, the exit codes and the digest, and exits 1 when the
+digest differs from the pin.  Change the pin only for a deliberate change of
+output.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ import io
 import json
 import os
 import random
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -201,3 +206,6 @@ if __name__ == "__main__":
         digest, codes = replay(argvs)
     print(f"{len(argvs)} runs, exit codes {dict(sorted(codes.items()))}")
     print(digest)
+    if digest != DIGEST:
+        print(f"corpus digest changed: want {DIGEST}", file=sys.stderr)
+        sys.exit(1)

@@ -118,6 +118,21 @@ class TestDecompose:
         z = zariski_decompose(cycle_c)
         assert (z.p + z.n_part).coeffs == tuple(F(1) for _ in range(cycle_c.m))
 
+    @pytest.mark.parametrize(("s", "divisor", "d"), [(2, None, 2), (3, [2], 12), (0, [8], 0)])
+    def test_nodal_curve_p_is_divisor(self, s, divisor, d):
+        # No growth round runs, so P.P comes from the stencil of the
+        # divisor, where a nodal curve meets only itself.
+        z = zariski_decompose(CycleConfig.plain((s,)), divisor)
+        a = 1 if divisor is None else divisor[0]
+        assert z.p.coeffs == (F(a),)
+        assert z.n_part.coeffs == (F(0),)
+        assert (z.m0, z.l, z.d) == (1, (a,), d)
+
+    @pytest.mark.parametrize("decompose", [zariski_decompose, zariski_oracle])
+    def test_empty_cycle_rejected(self, decompose):
+        with pytest.raises(ValueError, match="^cycle must have at least one component$"):
+            decompose(CycleConfig(()))
+
 
 class TestInvariants:
     def test_p_zero_iff_negative_definite(self):
