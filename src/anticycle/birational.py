@@ -19,16 +19,6 @@ from dataclasses import dataclass
 
 from .cycles import CycleConfig, cycle_dots, zariski_decompose
 
-__all__ = [
-    "SurgeryInputError",
-    "SurgeryResult",
-    "blow_up_node",
-    "blow_up_smooth",
-    "blow_down",
-    "contract_to_nef_model",
-]
-
-
 class SurgeryInputError(ValueError):
     """A surgery was requested on a point or component it cannot apply to."""
 

@@ -192,8 +192,7 @@ def _emit(report: dict[str, Any], as_json: bool) -> None:
     else:
         lines: list[str] = []
         _flatten(report, "", lines)
-        if lines:
-            print("\n".join(lines))
+        print("\n".join(lines))
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +381,6 @@ def _cmd_oracle_check(args: argparse.Namespace) -> dict[str, Any]:
         raise ValueError(f"--count must be at least 1, got {args.count}")
     if args.file is not None and args.seed is not None:
         raise ValueError("give --file or --seed, not both")
-    configs: list[CycleConfig]
     if args.file is not None:
         if args.count is not None:
             raise ValueError("--count applies only to --seed")

@@ -186,8 +186,7 @@ def build_cycle(data: ConfigData) -> CycleConfig:
                 f"k = {data.k} disagrees with the {len(data.half_self_ints)} "
                 "listed self-intersections"
             )
-        half = data.half_self_ints
-        return CycleConfig(half + half, real_k=len(half), n=data.n)
+        return CycleConfig.real(data.half_self_ints, data.n)
     if data.self_ints is None:
         raise ConfigError("config carries no cycle")
     if data.k is not None:
@@ -220,7 +219,6 @@ def build_pencil(data: ConfigData, *, default_family: bool = False) -> TwistorPe
 def config_to_data(config: CycleConfig) -> ConfigData:
     """The canonical file contents describing a bare cycle configuration."""
     if config.is_real:
-        assert config.real_k is not None
         return ConfigData(
             n=config.n,
             k=config.real_k,

@@ -440,9 +440,11 @@ def zariski_decompose(config: CycleConfig, divisor=None) -> ZariskiDecomposition
     support = [i for i, x in enumerate(rhs) if x < 0]
     n_coeffs, chain_den = [0] * m, 1
     while support:
-        if len(support) == m:
+        if len(support) >= m:
             # Bauer's growth lemma: the whole cycle is then negative definite,
             # so M N = M D gives N = D; the certification below checks it.
+            # A correct solve repeats no index; ">=" bounds the loop at m
+            # rounds even if one does, since every round adds an index.
             n_coeffs, chain_den = dint, 1
             break
         solved = _solve_chain(s, rhs, support)

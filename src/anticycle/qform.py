@@ -157,15 +157,13 @@ def _eliminate(rows: list[list[Fraction]], n: int) -> tuple[list[int], int]:
 
 
 def _normalize_integer_vector(vec: Sequence[Fraction]) -> tuple[int, ...]:
-    """Scale to a primitive integer vector with a reproducible sign."""
-    denom = lcm(*(x.denominator for x in vec)) if vec else 1
+    """Scale ``vec``, which has a positive entry, to a primitive integer
+    vector with a reproducible sign."""
+    denom = lcm(*(x.denominator for x in vec))
     ints = [int(x * denom) for x in vec]
-    common = gcd(*ints) if any(ints) else 1
-    if common:
-        ints = [x // common for x in ints]
-    if all(x <= 0 for x in ints):
-        ints = [-x for x in ints]
-    elif any(x < 0 for x in ints):
+    common = gcd(*ints)
+    ints = [x // common for x in ints]
+    if any(x < 0 for x in ints):
         negated = [-x for x in ints]
         if tuple(negated) < tuple(ints):
             ints = negated

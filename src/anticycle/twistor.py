@@ -472,7 +472,6 @@ def algebraic_dimension(pencil: TwistorPencil) -> AdimReport:
         )
     profile = family_profile(pencil.family)
     if profile.kind == CONSTANT_FINITE and pencil.n == 4:
-        assert profile.tau is not None
         return AdimReport(
             verdict=VERDICT_A2,
             justification=(
@@ -485,7 +484,6 @@ def algebraic_dimension(pencil: TwistorPencil) -> AdimReport:
             decomposition=z,
         )
     if profile.kind == CONSTANT_FINITE:
-        assert profile.tau is not None
         derivation_a = _fibration_derivation(z, profile.tau)
         derivation_b = _fixed_component_derivation(pencil, z, profile.tau)
         return AdimReport(
@@ -549,7 +547,6 @@ def _elliptic_verdict(pencil: TwistorPencil) -> AdimReport:
 
 def _fibration_derivation(z: ZariskiDecomposition, tau: int) -> Derivation:
     """The a = 2 derivation; every step holds by construction (P != 0, d = 0)."""
-    assert z.m0 is not None and z.l is not None
     steps = (
         DerivationStep(
             step="torsion",

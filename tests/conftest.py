@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from anticycle import CycleConfig
+from anticycle.cycles import CycleConfig
 from anticycle.config_io import random_small_config
 
 FIXTURE_DIR = Path(__file__).parent / "fixtures"

@@ -22,6 +22,7 @@ from anticycle import cycles
 from anticycle.birational import blow_up_node
 from anticycle.config_io import build_cycle, parse_config, random_cycle_walk
 from anticycle.cycles import (
+    CertificationError,
     CycleConfig,
     QDivisor,
     _cycle_square,
@@ -343,6 +344,24 @@ class TestBauerRounds:
         z = zariski_decompose(config)
         assert supports == [[1, 3]]
         assert z.n_part.support == (1, 3)
+
+    def test_growth_stops_within_m_rounds(self, monkeypatch):
+        # A wrong solve that leaves N = 0 re-adds the same components every
+        # round; the loop must still stop and hand N = D to the certification.
+        config = CycleConfig.plain((-3, -3, -3, 1))
+        m = config.m
+        calls = []
+
+        def wrong(s, rhs, support):
+            calls.append(support)
+            assert len(calls) <= m, "growth loop did not stop within m rounds"
+            return [0] * m, 1
+
+        monkeypatch.setattr(cycles, "_solve_chain", wrong)
+        with pytest.raises(
+            CertificationError, match=r"^support of N is not negative definite$"
+        ):
+            zariski_decompose(config)
 
 
 @st.composite

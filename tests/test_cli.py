@@ -38,6 +38,10 @@ def run_cli(capsys, *argv: str) -> tuple[int, str]:
 
 class TestParsing:
     def test_round_trip_all_fixture_files(self):
+        texts = [
+            "base = cycle\nn = 5\nk = 2\nself = [-1, -4]\nresolution = [0, 1]\n",
+            "selfints = [-2, -2, -2, -2]\nfamily = const modulus 2 angle 1/3\n",
+        ]
         for name in (
             "fixtureA.cfg",
             "fixtureB.cfg",
@@ -50,7 +54,9 @@ class TestParsing:
             "elliptic-order4.cfg",
         ):
             with open(fixture_path(name), encoding="utf-8") as handle:
-                data = parse_config(handle.read())
+                texts.append(handle.read())
+        for text in texts:
+            data = parse_config(text)
             assert parse_config(render_config(data)) == data
 
     def test_unknown_key_rejected_with_line(self):
@@ -182,6 +188,37 @@ class TestSurgeryCommands:
             2,
             "invalid: give either --node I, or --component I with --smooth\n",
         )
+
+    def test_smooth_without_component(self, capsys):
+        code, out = run_cli(
+            capsys, "blowup", "--file", fixture_path("fixtureC.cfg"), "--smooth"
+        )
+        assert (code, out) == (2, "invalid: --smooth requires --component\n")
+
+    def test_blowdown_only_component(self, tmp_path, capsys):
+        nodal = tmp_path / "nodal.cfg"
+        nodal.write_text("selfints = [-1]\n")
+        code, out = run_cli(capsys, "blowdown", "--file", str(nodal), "--component", "1")
+        assert (code, out) == (2, "invalid: cannot contract the only component\n")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (
+                "n = 5\nk = 3\nself = [-1, -4]\n",
+                "k = 3 disagrees with the 2 listed self-intersections",
+            ),
+            (
+                "k = 2\nselfints = [-2, -2, -2, -2]\n",
+                "k only applies to real configs given via 'self'",
+            ),
+        ],
+    )
+    def test_k_inconsistent_with_cycle(self, text, message, tmp_path, capsys):
+        cfg = tmp_path / "k.cfg"
+        cfg.write_text(text)
+        code, out = run_cli(capsys, "zariski", "--file", str(cfg))
+        assert (code, out) == (2, f"invalid: {message}\n")
 
     def test_blowdown(self, capsys):
         code, out = run_cli(

@@ -178,6 +178,11 @@ class TestElimination:
         assert solve_linear(m, (Fraction(0), Fraction(1))) is None
         assert kernel_basis(m) == ((1, 0),)
 
+    def test_mixed_sign_kernel_takes_the_smaller_sign(self):
+        # The solve gives (1, -1, 1); its negation is the smaller tuple.
+        m = sym([[1, 0, -1], [0, 1, 1], [-1, 1, 2]])
+        assert kernel_basis(m) == ((-1, 1, -1),)
+
 
 def _matrices(max_dim: int = 4):
     return st.integers(min_value=1, max_value=max_dim).flatmap(
